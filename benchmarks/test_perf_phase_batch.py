@@ -2,11 +2,11 @@
 
 The tentpole claim of the batching + mmap-cache work, measured end to
 end: a *warm* 672-node t2hx campaign cell — fabric attached zero-copy
-from the shared ``.rows.npy`` sidecar, phases materialised through the
-bulk per-destination path resolution, simulated from prebuilt
-:class:`~repro.sim.batch.MessageBatch` arrays — completes in well under
-a second of wall clock, and produces values bit-identical to the cold
-(freshly routed) cell.
+from the shared ``.rows.npy`` sidecar, phases materialised as
+:class:`~repro.sim.batch.MessageBatch` arrays gathered from the fabric's
+stacked destination walks, simulated straight from those arrays —
+completes in well under a second of wall clock, and produces values
+bit-identical to the cold (freshly routed) cell.
 
 Two cells are pinned:
 
@@ -15,8 +15,10 @@ Two cells are pinned:
   relaxable via ``PERF_WARM_CELL_BUDGET`` for noisy CI runners).
 * ``imb:Alltoall:1048576`` — the paper's heaviest collective (671
   phases x 671 messages); recorded for the report JSON and checked
-  for cold/warm value identity, budget-free (its cost is the fairness
-  solve itself, not the representation).
+  for cold/warm value identity, budget-free.  Its warm cost is split
+  between materialising the phases (``Job.materialize``) and simulating
+  them (``FlowSimulator.run``, mostly the fairness solves); the report
+  records both, since materialisation used to dominate.
 
 JSON artifacts land in ``benchmarks/out/`` for the perf-smoke upload.
 """
@@ -28,6 +30,8 @@ import os
 import time
 
 from repro.campaign.engine import execute_cell
+from repro.mpi.job import Job
+from repro.sim.engine import FlowSimulator
 from repro.campaign.ledger import STATUS_COMPLETED
 from repro.experiments.configs import (
     clear_fabric_cache,
@@ -114,11 +118,32 @@ def test_perf_warm_allreduce_cell(cache_dir, report_dir):
     assert min(warm_times) < WARM_CELL_BUDGET, payload
 
 
-def test_perf_warm_alltoall_cell(cache_dir, report_dir):
+def _timed(stages: dict[str, float], name: str, fn):
+    """``fn`` that adds its wall time to ``stages[name]``."""
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            stages[name] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def test_perf_warm_alltoall_cell(cache_dir, report_dir, monkeypatch):
     """Warm 672-node Alltoall cell (671 phases): value-identical to the
-    cold cell; wall clock recorded for the report, not budgeted."""
+    cold cell; wall clock and its materialise/simulate split recorded
+    for the report, not budgeted."""
     cold_s, cold = _run_cell("imb:Alltoall:1048576")
     assert cold["fabric_cache"]["routed"] == 1, cold["fabric_cache"]
+    stages = {"materialize_s": 0.0, "simulate_s": 0.0}
+    monkeypatch.setattr(
+        Job, "materialize", _timed(stages, "materialize_s", Job.materialize)
+    )
+    monkeypatch.setattr(
+        FlowSimulator, "run", _timed(stages, "simulate_s", FlowSimulator.run)
+    )
     warm_s, warm = _run_cell("imb:Alltoall:1048576")
     fc = warm["fabric_cache"]
     assert fc["routed"] == 0 and fc["mmap_attaches"] == 1, fc
@@ -129,6 +154,7 @@ def test_perf_warm_alltoall_cell(cache_dir, report_dir):
         "num_nodes": NUM_NODES,
         "cold_s": cold_s,
         "warm_s": warm_s,
+        **stages,
         "value": cold["best"],
     }
     (report_dir / "perf_phase_batch_alltoall.json").write_text(

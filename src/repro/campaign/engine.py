@@ -192,6 +192,7 @@ def execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
                 "solo_seconds": res.solo_seconds,
                 "interfered_seconds": res.interfered_seconds,
             }
+            record["anomalies"] = res.anomalies
         else:
             measure, profile, higher_is_better = resolve_measure(spec)
             res = run_capability(
@@ -203,6 +204,7 @@ def execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
             record["values"] = list(res.values)
             record["best"] = float(res.best)
             record["higher_is_better"] = higher_is_better
+            record["anomalies"] = res.anomalies
             if spec.fault_timeline:
                 record["reroutes"] = {
                     "events_applied": res.events_applied,

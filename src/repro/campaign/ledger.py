@@ -112,6 +112,9 @@ class CampaignStatus:
     reroute_messages: int = 0
     reroute_paths_changed: int = 0
     reroute_unreachable: int = 0
+    #: Anomaly counters (``events_truncated``, ``resolve_fallbacks``)
+    #: summed over the latest record of each cell.
+    anomalies: dict[str, int] = field(default_factory=dict)
 
     @property
     def all_completed(self) -> bool:
@@ -150,6 +153,7 @@ class CampaignStatus:
                 "paths_changed": self.reroute_paths_changed,
                 "unreachable_pairs": self.reroute_unreachable,
             },
+            "anomalies": dict(self.anomalies),
             "cells": self.cells,
         }
 
@@ -189,6 +193,7 @@ def summarize(spec, ledger: Ledger, wall_seconds: float = 0.0) -> CampaignStatus
     cells = []
     reroute_totals = {"events_applied": 0, "messages_rerouted": 0,
                       "paths_changed": 0, "unreachable_pairs": 0}
+    anomaly_totals: dict[str, int] = {}
     for cid in spec_ids:
         rec = latest.get(cid)
         if rec is None:
@@ -204,6 +209,11 @@ def summarize(spec, ledger: Ledger, wall_seconds: float = 0.0) -> CampaignStatus
             "sweep": rec.get("sweep", {}),
             "error": rec.get("error"),
         }
+        anomalies = rec.get("anomalies")
+        if anomalies is not None:
+            cell["anomalies"] = anomalies
+            for k, v in anomalies.items():
+                anomaly_totals[k] = anomaly_totals.get(k, 0) + int(v)
         rr = rec.get("reroutes")
         if rr:
             cell["reroutes"] = rr
@@ -231,4 +241,5 @@ def summarize(spec, ledger: Ledger, wall_seconds: float = 0.0) -> CampaignStatus
         reroute_messages=reroute_totals["messages_rerouted"],
         reroute_paths_changed=reroute_totals["paths_changed"],
         reroute_unreachable=reroute_totals["unreachable_pairs"],
+        anomalies=anomaly_totals,
     )

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.core.rng import derive_seed
 from repro.core.units import MIB
@@ -35,6 +37,7 @@ from repro.experiments.configs import Combination, build_fabric, make_pml
 from repro.mpi.job import Job
 from repro.mpi.profiler import merge_demands
 from repro.placement import placement
+from repro.sim.batch import MessageBatch
 from repro.sim.engine import FlowSimulator
 from repro.sim.flows import Program
 from repro.workloads.proxyapps import PROXY_APPS
@@ -114,6 +117,8 @@ class CapacityResult:
     runs: dict[str, int] = field(default_factory=dict)
     solo_seconds: dict[str, float] = field(default_factory=dict)
     interfered_seconds: dict[str, float] = field(default_factory=dict)
+    #: Approximations inside the result (see ``CapabilityResult``).
+    anomalies: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_runs(self) -> int:
@@ -173,6 +178,7 @@ def run_capacity(
     allocations: dict[str, list[int]] = {}
     jobs: dict[str, Job] = {}
     profiler_demands = []
+    fallbacks = 0
     for i, (name, nodes_full) in enumerate(apps):
         n = max(2, nodes_full * len(pool) // 672)
         n -= n % 2  # MuPP and power-of-two codes want even counts
@@ -191,6 +197,7 @@ def run_capacity(
         for name, alloc in allocations.items():
             dummy_job = Job(fabric, alloc, pml=make_pml(combo))
             program, _, _, _, _ = _app_single_run(name, dummy_job, FlowSimulator(net))
+            fallbacks += dummy_job.resolve_fallbacks
             totals: dict[tuple[int, int], float] = {}
             for ph in program:
                 for m in ph:
@@ -226,14 +233,15 @@ def run_capacity(
         # the program's bytes repeat every (round time + gap share).
         per_iter = res.total_time + gap / max(1, rounds)
         loads: dict[int, float] = {}
-        if per_iter > 0:
-            for phase in program:
-                for m in phase:
-                    if m.size <= 0:
-                        continue
-                    for l in m.path:
-                        loads[l] = loads.get(l, 0.0) + m.size / per_iter
+        if per_iter > 0 and program.phases:
+            b = MessageBatch.concat([phase.batch for phase in program])
+            busy = np.bincount(
+                b.flat, np.repeat(b.sizes / per_iter, b.lens), len(net.links)
+            )
+            loads = {int(l): float(busy[l]) for l in np.flatnonzero(busy)}
         footprints[name] = loads
+
+    truncated = sim.events_truncated
 
     # Pass 2: re-simulate each app against the other apps' background.
     base_caps = [l.capacity for l in net.links]
@@ -249,10 +257,17 @@ def run_capacity(
             floor = MIN_CAPACITY_FRACTION * base_caps[lid]
             net.links[lid].capacity = max(floor, base_caps[lid] - v)
         res = FlowSimulator(net, mode=sim_mode).run(program)
+        truncated += res.events_truncated
         interfered = iters * (rounds * res.total_time + gap) + overhead
         result.interfered_seconds[name] = interfered
         result.runs[name] = int(window_seconds // (interfered + STARTUP_SECONDS))
         # Restore capacities for the next app.
         for lid in background:
             net.links[lid].capacity = base_caps[lid]
+    result.anomalies = {
+        "events_truncated": truncated,
+        "resolve_fallbacks": fallbacks + sum(
+            job.resolve_fallbacks for job in jobs.values()
+        ),
+    }
     return result

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from repro.analysis.linter import lint_fabric
 from repro.analysis.whatif import VulnerabilityReport, audit_whatif
-from repro.core.errors import ReproError, TopologyError
+from repro.core.errors import TopologyError
 from repro.core.rng import derive_seed
 from repro.core.units import MIB
 from repro.experiments.configs import (
@@ -268,21 +268,13 @@ def run_resilience(
                         ),
                     ))
 
-            def on_event(events, phase_index, fabric=fabric, job=job,
+            def on_event(events, phase_index, fabric=fabric,
                          engine=engine, sm=sm):
-                report = sm.resweep(fabric, engine, events=events)
-                job.invalidate_paths()
-                return report
-
-            def reroute(msg, fabric=fabric):
-                try:
-                    return tuple(fabric.path(msg.src, msg.dst))
-                except ReproError:
-                    return None
+                return sm.resweep(fabric, engine, events=events)
 
             sim = FlowSimulator(
                 net, mode=sim_mode, timeline=timeline,
-                on_fabric_event=on_event, reroute=reroute,
+                on_fabric_event=on_event, reroute=fabric.reroute,
             )
             res = sim.run(program)
             # Stamp the failed cable's static certificate on each

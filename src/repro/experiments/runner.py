@@ -162,6 +162,11 @@ class CapabilityResult:
     #: Serialized :class:`~repro.ib.subnet_manager.RerouteReport` dicts,
     #: one per re-sweep the run triggered.
     reroutes: list[dict[str, Any]] = field(default_factory=list)
+    #: Approximations inside the values: flows the dynamic simulator's
+    #: event valve finished early (``events_truncated``) and message
+    #: paths the bulk walk refused but the per-pair resolve found
+    #: (``resolve_fallbacks``).  All zero for an exact result.
+    anomalies: dict[str, int] = field(default_factory=dict)
 
     @property
     def best(self) -> float:
@@ -293,7 +298,7 @@ def _run_capability(
         except ReproError:
             whatif = None
 
-        def on_event(events, phase_index, fabric=fabric, job=job):
+        def on_event(events, phase_index, fabric=fabric):
             report = resweep(fabric, engine, events=events)
             if whatif is not None:
                 failed = [
@@ -309,21 +314,14 @@ def _run_capability(
                     report.cable_criticality = crits[0]
                 elif crits:
                     report.cable_criticality = {"cables": crits}
-            job.invalidate_paths()
             return report
-
-        def reroute(msg, fabric=fabric):
-            try:
-                return tuple(fabric.path(msg.src, msg.dst))
-            except ReproError:
-                return None
 
         sim = FlowSimulator(
             fabric.net,
             mode=spec.sim_mode,
             timeline=FaultTimeline(spec.fault_timeline),
             on_fabric_event=on_event,
-            reroute=reroute,
+            reroute=fabric.reroute,
         )
     else:
         sim = FlowSimulator(fabric.net, mode=spec.sim_mode)
@@ -342,6 +340,10 @@ def _run_capability(
         result.values.append(
             float(base_value * np.exp(noise.normal(0.0, RUN_NOISE_SIGMA)))
         )
+    result.anomalies = {
+        "events_truncated": sim.events_truncated,
+        "resolve_fallbacks": job.resolve_fallbacks,
+    }
     if spec.fault_timeline:
         result.events_applied = len(sim.events_applied)
         result.messages_rerouted = sim.messages_rerouted

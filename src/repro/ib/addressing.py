@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import TopologyError
 from repro.topology.hyperx import hyperx_quadrant, hyperx_shape_of
 from repro.topology.network import Network
@@ -136,15 +138,19 @@ def assign_lids_quadrant(net: Network, lmc: int = 2) -> LidMap:
     return lm
 
 
-def quadrant_of_lid(lid: int) -> int:
+def quadrant_of_lid(lid: int | np.ndarray) -> int | np.ndarray:
     """Recover the HyperX quadrant from a quadrant-policy LID.
 
     Implements the paper's ``q := floor(LID / 1000)`` (footnote 9),
-    normalising switch LIDs back into 0..3.
+    normalising switch LIDs back into 0..3.  Takes one LID or an array
+    of LIDs (the PARX PML decodes a whole phase at once).
     """
-    q = lid // 1000
-    if q >= 10:
-        q -= SWITCH_LID_OFFSET // 1000
-    if not 0 <= q <= 3:
-        raise TopologyError(f"LID {lid} does not follow the quadrant policy")
-    return q
+    lids = np.asarray(lid)
+    q = lids // 1000
+    q = np.where(q >= 10, q - SWITCH_LID_OFFSET // 1000, q)
+    bad = (q < 0) | (q > 3)
+    if bad.any():
+        raise TopologyError(
+            f"LID {lids[bad].flat[0]} does not follow the quadrant policy"
+        )
+    return int(q) if q.ndim == 0 else q

@@ -19,7 +19,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core.errors import RoutingError, UnreachableError
+from repro.core.errors import ReproError, RoutingError, UnreachableError
 from repro.ib.addressing import LidMap
 from repro.ib.tables import ForwardingTables, walk_dest_columns, walk_dest_links
 from repro.topology.network import Network
@@ -96,10 +96,14 @@ class Fabric:
     _path_cache: dict[tuple[int, int, int], list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: Per-destination bulk memo (:meth:`dest_paths`): dlid -> per-switch-
-    #: row path tuples; shares the version triple with ``_path_cache``.
-    _dest_path_cache: dict[int, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: Stacked per-destination walks (:meth:`dest_paths`) and per-node
+    #: ``(base LID, uplink id, uplink switch row)`` arrays; both share
+    #: the version triple with ``_path_cache``.
+    _walks: "DestWalks | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _endpoints: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
     _path_cache_version: tuple[int, int, int] = field(
         default=(-1, -1, -1), init=False, repr=False, compare=False
@@ -188,8 +192,7 @@ class Fabric:
         """Terminal-to-terminal path via the destination's ``lid_index``.
 
         Memoised per ``(src, dst, lid_index)`` while the topology
-        version and the tables stand still — collective builders resolve
-        the same pairs once per phase, and a re-sweep (which installs
+        version and the tables stand still — a re-sweep (which installs
         new routes) or a cable event (which bumps the version) drops the
         whole memo.  Returns a fresh list each call; mutating it never
         corrupts the cache.
@@ -202,54 +205,111 @@ class Fabric:
             self._path_cache[key] = cached
         return cached.copy()
 
+    def reroute(self, src: int, dst: int, lid_index: int = 0) -> list[int] | None:
+        """:meth:`path`, or ``None`` where it raises: the simulator's
+        reroute hook (:data:`repro.sim.engine.RerouteFn`) after a
+        re-sweep."""
+        try:
+            return self.path(src, dst, lid_index)
+        except ReproError:
+            return None
+
     def _validate_memos(self) -> None:
         """Drop the path memos if the topology or tables moved on."""
         version = (self.net.version, self.tables.uid, self.tables.version)
         if version != self._path_cache_version:
             self._path_cache.clear()
-            self._dest_path_cache.clear()
+            self._walks = None
+            self._endpoints = None
             self._path_cache_version = version
 
-    def dest_paths(self, dlid: int) -> list:
-        """Per-switch-row link paths toward one destination LID, in bulk.
+    def dest_paths(self, dlids: np.ndarray) -> "DestWalks":
+        """The stacked table walks toward every LID in ``dlids``.
 
-        ``dest_paths(dlid)[row]`` is the link-id tuple a packet entering
-        the fabric at switch ``tables.switch_ids[row]`` takes to reach
-        ``dlid`` — the post-uplink portion of :meth:`resolve`'s path,
-        ejection hop included — or ``None`` where the walk fails for any
-        reason ``resolve`` would raise on (missing entry, disabled link,
-        wrong-terminal exit, forwarding loop).  Callers needing the
-        exact diagnostic fall back to :meth:`resolve` / :meth:`path` for
-        those rows.
-
-        One vectorised :func:`~repro.ib.tables.walk_dest_links` pass per
-        destination instead of a Python table walk per source terminal;
-        memoised under the same version triple as :meth:`path`.
+        LIDs not walked yet are walked together in one
+        :func:`~repro.ib.tables.walk_dest_links` pass (every switch at
+        once) and kept until the topology or the tables move on — the
+        same version triple as :meth:`path`.  ``dlids`` must be LIDs of
+        the fabric.
         """
         self._validate_memos()
-        cached = self._dest_path_cache.get(dlid)
-        if cached is None:
-            cached = self._build_dest_paths(dlid)
-            self._dest_path_cache[dlid] = cached
-        return cached
+        if self._walks is None:
+            self._walks = DestWalks(
+                max(self.lidmap.owner, default=0) + 1,
+                len(self.tables.switch_ids),
+            )
+        walks = self._walks
+        new = np.unique(dlids[walks.slot[dlids] < 0]).tolist()
+        if new:
+            cols = [self.tables.column_of(d) for d in new]
+            walks.add(new, *walk_dest_links(
+                self.tables.dense,
+                self.net.switch_graph(),
+                [-1 if c is None else c for c in cols],
+                [self.lidmap.node_of(d) for d in new],
+            ))
+        return walks
 
-    def _build_dest_paths(self, dlid: int) -> list:
-        n_rows = len(self.tables.switch_ids)
-        col = self.tables.column_of(dlid)
-        if col is None:
-            return [None] * n_rows
-        ok, lens, steps = walk_dest_links(
-            self.tables.dense,
-            self.net.switch_graph(),
-            col,
-            self.lidmap.node_of(dlid),
+    def _endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-node ``(base LID, uplink id, uplink switch row)``, -1 = none.
+
+        Forwarding-table rows follow the network's switch order, so a
+        terminal's row is the switch graph's host index (-1 for a
+        detached terminal, whose :meth:`path` raises the diagnostic).
+        """
+        self._validate_memos()
+        if self._endpoints is None:
+            host = self.net.switch_graph().host_index
+            base = np.full(len(host), -1, dtype=np.int64)
+            base[list(self.lidmap.base)] = list(self.lidmap.base.values())
+            uplink = np.full(len(host), -1, dtype=np.int64)
+            for t in np.flatnonzero(host >= 0).tolist():
+                uplink[t] = self.net.terminal_uplink(t).id
+            self._endpoints = (base, uplink, host)
+        return self._endpoints
+
+    def base_lids(self, nodes: np.ndarray) -> np.ndarray:
+        """Base LID of every node in ``nodes`` (-1 for nodes without one)."""
+        return self._endpoint_arrays()[0][nodes]
+
+    def bulk_paths(
+        self, src: np.ndarray, dst: np.ndarray, lid_index: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Paths of parallel ``(src, dst, lid_index)`` arrays, as CSR.
+
+        Returns ``(lens, flat, refused)``: row ``i`` crosses
+        ``flat[ptr[i]:ptr[i+1]]`` (``ptr`` the prefix sum of ``lens``),
+        exactly ``self.path(src[i], dst[i], lid_index[i])`` — the
+        source's uplink followed by the :meth:`dest_paths` walk from the
+        uplink's switch.  ``refused`` lists the rows the walk could not
+        resolve (missing entry, disabled link, loop, a bad LID index or
+        a destination that is not an attached terminal); they are left
+        empty for :meth:`path` to resolve or diagnose.  Self-sends are
+        empty and not refused.
+        """
+        base, uplink, row = self._endpoint_arrays()
+        r = row[src]
+        dlid = base[dst] + lid_index
+        ok = (
+            (src != dst) & (base[dst] >= 0) & (uplink[dst] >= 0) & (r >= 0)
+            & (lid_index >= 0) & (lid_index < self.lidmap.lids_per_port)
         )
-        rows = steps.T.tolist()
-        lens_list = lens.tolist()
-        return [
-            tuple(rows[r][: lens_list[r]]) if good else None
-            for r, good in enumerate(ok.tolist())
-        ]
+        lens = np.zeros(len(src), dtype=np.intp)
+        flat = np.empty(0, dtype=np.intp)
+        if ok.any():
+            walks = self.dest_paths(dlid[ok])
+            slot = walks.slot[np.where(ok, dlid, 0)]
+            ok &= walks.ok[slot, r]
+            lens[ok] = 1 + walks.lens[slot[ok], r[ok]]
+            # Link k of row i: the uplink at k == 0, else walk step k - 1.
+            i = np.repeat(np.arange(len(src)), lens)
+            k = np.arange(len(i)) - np.repeat(lens.cumsum() - lens, lens)
+            flat = np.where(
+                k == 0,
+                uplink[src[i]],
+                walks.steps[slot[i], np.maximum(k - 1, 0), r[i]],
+            ).astype(np.intp)
+        return lens, flat, np.flatnonzero(~ok & (src != dst))
 
     def hops(self, src: int, dst: int, lid_index: int = 0) -> int:
         """Switch-to-switch hop count between two terminals."""
@@ -384,7 +444,6 @@ class Fabric:
             tables[current][dlid] = link_id
             vl_of[dlid] = int(vl_s)
         self._path_cache.clear()
-        self._dest_path_cache.clear()
         self.tables = tables
         self.vl_of_dlid = {d: v for d, v in vl_of.items() if v > 0}
         self.num_vls = max(vl_of.values(), default=0) + 1
@@ -658,6 +717,46 @@ class Fabric:
             f"Fabric({self.net.name!r}, engine={self.engine_name!r}, "
             f"lmc={self.lidmap.lmc}, vls={self.num_vls})"
         )
+
+
+class DestWalks:
+    """Table walks toward a set of destination LIDs, stacked by slot.
+
+    ``slot[dlid]`` is the LID's slot (-1 until walked).  For slot ``k``
+    and forwarding-table row ``r``, ``ok[k, r]`` says whether a packet
+    entering at switch ``tables.switch_ids[r]`` reaches the LID, and
+    ``steps[k, :lens[k, r], r]`` are the links it takes (ejection hop
+    included): the :func:`~repro.ib.tables.walk_dest_links` arrays,
+    padded to a common walk depth.
+    """
+
+    __slots__ = ("slot", "ok", "lens", "steps")
+
+    def __init__(self, n_lids: int, n_rows: int) -> None:
+        self.slot = np.full(n_lids, -1, dtype=np.int64)
+        self.ok = np.zeros((0, n_rows), dtype=bool)
+        self.lens = np.zeros((0, n_rows), dtype=np.int32)
+        self.steps = np.zeros((0, 0, n_rows), dtype=np.int32)
+
+    def add(
+        self,
+        dlids: list[int],
+        ok: np.ndarray,
+        lens: np.ndarray,
+        steps: np.ndarray,
+    ) -> None:
+        """Append the walks toward new ``dlids``."""
+        n_old, depth, n_rows = self.steps.shape
+        grown = np.zeros(
+            (n_old + len(dlids), max(depth, steps.shape[1]), n_rows),
+            dtype=np.int32,
+        )
+        grown[:n_old, :depth] = self.steps
+        grown[n_old:, : steps.shape[1]] = steps
+        self.steps = grown
+        self.ok = np.concatenate([self.ok, ok])
+        self.lens = np.concatenate([self.lens, lens])
+        self.slot[dlids] = np.arange(n_old, n_old + len(dlids))
 
 
 @dataclass

@@ -420,50 +420,54 @@ class ForwardingTables(MutableMapping):
 def walk_dest_links(
     matrix: np.ndarray,
     graph: "SwitchGraph",
-    dest_col: int,
-    dest_node: int,
+    dest_cols: np.ndarray,
+    dest_nodes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-switch link-id paths toward one destination column.
+    """Per-switch link-id paths toward a set of destination columns.
 
-    The link-recording sibling of :func:`walk_dest_columns`, restricted
-    to a single destination: every switch walks ``matrix[cur, dest_col]``
+    The link-recording sibling of :func:`walk_dest_columns`: every
+    switch walks ``matrix[cur, col]`` toward every destination
     simultaneously, and the links taken are recorded step by step.
     Verdicts are identical to ``Fabric.resolve`` restricted to the
     switch part of the walk — a switch is ``ok`` precisely when
     ``resolve`` from a terminal on it would succeed, and its recorded
     links are exactly the post-uplink portion of ``resolve``'s path
-    (ejection hop included).
+    (ejection hop included).  A negative column stands for a
+    destination the tables do not hold: no switch reaches it.
 
     Returns
     -------
     (ok, lens, steps):
-        ``(S,)`` reachability, ``(S,)`` int32 path length in links, and
-        a ``(K, S)`` int32 matrix where ``steps[k, s]`` is the k-th link
-        of switch ``s``'s walk (undefined past ``lens[s]``).  ``K`` is
-        the longest surviving walk, 0 when nothing moved.
+        ``(D, S)`` reachability, ``(D, S)`` int32 path length in links,
+        and a ``(D, K, S)`` int32 array where ``steps[d, k, s]`` is the
+        k-th link of switch ``s``'s walk toward destination ``d``
+        (undefined past ``lens[d, s]``).  ``K`` is the longest surviving
+        walk, 0 when nothing moved.
     """
     n_switches = matrix.shape[0]
-    ok = np.zeros(n_switches, dtype=bool)
-    lens = np.zeros(n_switches, dtype=np.int32)
+    cols = np.asarray(dest_cols, dtype=np.int64)[:, None]
+    dest = np.asarray(dest_nodes, dtype=np.int64)[:, None]
+    shape = (len(cols), n_switches)
+    ok = np.zeros(shape, dtype=bool)
+    lens = np.zeros(shape, dtype=np.int32)
     recorded: list[np.ndarray] = []
-    if n_switches == 0:
-        return ok, lens, np.zeros((0, 0), dtype=np.int32)
 
     link_dst_node = graph.link_dst_node
     link_dst_index = graph.link_dst_index
     link_enabled = graph.link_enabled
-    cur = np.arange(n_switches, dtype=np.int64)
-    walking = np.ones(n_switches, dtype=bool)
+    safe_cols = np.maximum(cols, 0)
+    cur = np.broadcast_to(np.arange(n_switches, dtype=np.int64), shape)
+    walking = np.broadcast_to(cols >= 0, shape)
     # Same pigeonhole loop guard as walk_dest_columns: a valid walk
     # ejects within S steps; anything longer revisited a switch.
     for _ in range(n_switches + 1):
         if not walking.any():
             break
-        entry = np.asarray(matrix[cur, dest_col], dtype=np.int64)
+        entry = np.asarray(matrix[cur, safe_cols], dtype=np.int64)
         missing = (entry < 0) | (entry >= len(link_enabled))
         entry_safe = np.where(missing, 0, entry)
         alive = walking & link_enabled[entry_safe] & ~missing
-        ejects = alive & (link_dst_node[entry_safe] == dest_node)
+        ejects = alive & (link_dst_node[entry_safe] == dest)
         next_idx = link_dst_index[entry_safe]
         recorded.append(np.where(alive, entry, -1).astype(np.int32))
         lens += alive
@@ -471,8 +475,8 @@ def walk_dest_links(
         walking = alive & ~ejects & (next_idx >= 0)
         cur = np.where(walking, next_idx, cur)
     if not recorded:
-        return ok, lens, np.zeros((0, n_switches), dtype=np.int32)
-    return ok, lens, np.stack(recorded)
+        return ok, lens, np.zeros((shape[0], 0, n_switches), dtype=np.int32)
+    return ok, lens, np.stack(recorded, axis=1)
 
 
 def walk_dest_columns(

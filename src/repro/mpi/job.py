@@ -8,22 +8,45 @@
 
 It binds a routed fabric, a rank-to-node mapping (one rank per node,
 the paper's execution model) and a PML, and materialises rank-level
-phase lists into :class:`~repro.sim.flows.Program` objects with
-resolved link paths.  Resolved paths are cached per (src, dst, LID
-index) since collectives reuse pairs across rounds.
+phase lists into :class:`~repro.sim.flows.Program` objects whose phases
+are :class:`~repro.sim.batch.MessageBatch` arrays with resolved link
+paths.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.ib.fabric import Fabric
 from repro.mpi import collectives as coll
 from repro.mpi.collectives import RankPhase
 from repro.mpi.pml import Ob1Pml, Pml
-from repro.sim.batch import MessageBatch, PathPool
-from repro.sim.flows import Message, Phase, Program
+from repro.sim.batch import MessageBatch
+from repro.sim.flows import Phase, Program
+
+
+def rank_phase_arrays(
+    rank_phase: RankPhase,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One rank-level phase as ``(src_ranks, dst_ranks, sizes)`` arrays.
+
+    The rank-space mirror of the simulator's flat-array message batches
+    (:mod:`repro.sim.batch`): pattern generators stay list-of-tuples for
+    composability, and :meth:`Job.materialize` converts each phase once
+    into parallel numpy arrays.
+    """
+    if not rank_phase:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    src, dst, sizes = zip(*rank_phase)
+    n = len(src)
+    return (
+        np.fromiter(src, dtype=np.int64, count=n),
+        np.fromiter(dst, dtype=np.int64, count=n),
+        np.fromiter(sizes, dtype=float, count=n),
+    )
 
 
 class Job:
@@ -43,20 +66,10 @@ class Job:
         self.fabric = fabric
         self.nodes = list(nodes)
         self.pml = pml or Ob1Pml()
-        # (src, dst, lid index) -> (pool id, path tuple): one dict probe
-        # per message on the materialize hot path.
-        self._resolve_cache: dict[
-            tuple[int, int, int], tuple[int, tuple[int, ...]]
-        ] = {}
-        self._path_version = -1
-        # Interned-path pool backing the batches materialize() attaches to
-        # each phase: one pool id per cached path, reset with the cache.
-        self._pool = PathPool()
-        # terminal -> (uplink id, forwarding-table row of its switch) and
-        # dlid -> per-row switch paths, feeding the bulk resolution fast
-        # path.
-        self._uplink_cache: dict[int, tuple[int, int | None]] = {}
-        self._dest_cache: dict[int, list] = {}
+        self._node_of_rank = np.asarray(self.nodes, dtype=np.int64)
+        #: Message paths the fabric's bulk walk refused but the per-pair
+        #: resolve found (an anomaly: the bulk walk should never miss).
+        self.resolve_fallbacks = 0
 
     @property
     def num_ranks(self) -> int:
@@ -72,116 +85,46 @@ class Job:
         label: str = "",
         compute_between_phases: float = 0.0,
     ) -> Program:
-        """Resolve rank-level phases into a runnable program."""
+        """Resolve rank-level phases into a runnable program.
+
+        Each phase is built with whole-phase array operations: ranks map
+        to nodes by gather, self-sends (local copies, no network traffic)
+        drop out, the PML picks every message's LID index at once, and
+        the paths are gathered by :meth:`Fabric.bulk_paths
+        <repro.ib.fabric.Fabric.bulk_paths>`; rows its walk refuses go
+        through :meth:`Fabric.path <repro.ib.fabric.Fabric.path>`.
+        """
         program = Program(
             label=label, compute_between_phases=compute_between_phases
         )
-        overhead = self.pml.overhead
+        overhead = float(self.pml.overhead)
         for i, rp in enumerate(rank_phases):
-            phase = Phase(label=f"{label}[{i}]" if label else f"phase{i}")
-            pids: list[int] = []
-            sizes: list[float] = []
-            srcs: list[int] = []
-            dsts: list[int] = []
-            for s_rank, d_rank, size in rp:
-                src = self.nodes[s_rank]
-                dst = self.nodes[d_rank]
-                if src == dst:
-                    continue  # local copy, no network traffic
-                lidx = self.pml.lid_index(self.fabric, src, dst, size)
-                pid, path = self._resolve(src, dst, lidx)
-                phase.messages.append(
-                    Message(
-                        src=src,
-                        dst=dst,
-                        size=float(size),
-                        path=path,
-                        overhead=overhead,
-                        tag=label,
-                    )
-                )
-                pids.append(pid)
-                sizes.append(float(size))
-                srcs.append(src)
-                dsts.append(dst)
-            phase.batch = MessageBatch.from_pool(
-                self._pool, pids, sizes, overhead, srcs, dsts
+            s_rank, d_rank, sizes = rank_phase_arrays(rp)
+            src = self._node_of_rank[s_rank]
+            dst = self._node_of_rank[d_rank]
+            remote = src != dst
+            if not remote.all():
+                src, dst, sizes = src[remote], dst[remote], sizes[remote]
+            lidx = (
+                self.pml.lid_indices(self.fabric, src, dst, sizes) if len(src)
+                else np.empty(0, dtype=np.int64)
             )
-            program.phases.append(phase)
+            lens, flat, refused = self.fabric.bulk_paths(src, dst, lidx)
+            batch = MessageBatch(
+                sizes, np.full(len(src), overhead), src, dst, lidx, lens, flat
+            )
+            if refused.size:
+                # The per-pair resolve raises its precise diagnostic, or
+                # finds a path the bulk walk missed (counted).
+                batch = batch.with_paths(refused, [
+                    self.fabric.path(int(src[r]), int(dst[r]), int(lidx[r]))
+                    for r in refused
+                ])
+                self.resolve_fallbacks += refused.size
+            program.phases.append(Phase(
+                label=f"{label}[{i}]" if label else f"phase{i}", batch=batch
+            ))
         return program
-
-    def _path(self, src: int, dst: int, lidx: int) -> tuple[int, ...]:
-        """The pair's interned path tuple (see :meth:`_resolve`)."""
-        return self._resolve(src, dst, lidx)[1]
-
-    def _fast_path(self, src: int, dst: int, lidx: int) -> tuple[int, ...] | None:
-        """Bulk-resolved path for one pair, or None to fall back.
-
-        Composes the terminal's uplink with the fabric's vectorised
-        per-destination switch walk (:meth:`repro.ib.fabric.Fabric.
-        dest_paths`) — identical link sequences to ``fabric.path``, one
-        numpy walk per destination instead of a Python walk per pair.
-        """
-        fabric = self.fabric
-        up = self._uplink_cache.get(src)
-        if up is None:
-            uplink = fabric.net.terminal_uplink(src)
-            up = (uplink.id, fabric.tables.row_of(uplink.dst))
-            self._uplink_cache[src] = up
-        uplink_id, row = up
-        if row is None:
-            return None
-        dlid = fabric.lidmap.lid(dst, lidx)
-        dp = self._dest_cache.get(dlid)
-        if dp is None:
-            dp = fabric.dest_paths(dlid)
-            self._dest_cache[dlid] = dp
-        swpath = dp[row]
-        if swpath is None:
-            return None
-        return (uplink_id, *swpath)
-
-    def _resolve(self, src: int, dst: int, lidx: int) -> tuple[int, tuple[int, ...]]:
-        """Interned ``(pool id, path tuple)`` for one pair/LID choice.
-
-        A tuple-interning layer over the fabric's bulk resolution: the
-        same pair's path is one shared tuple (and one pool id) across
-        every message that uses it.  Topology changes are caught by the
-        version check; table rewrites (re-sweeps) go through
-        invalidate_paths().
-        """
-        version = self.fabric.net.version
-        if version != self._path_version:
-            self._reset_caches()
-            self._path_version = version
-        key = (src, dst, lidx)
-        hit = self._resolve_cache.get(key)
-        if hit is None:
-            path = self._fast_path(src, dst, lidx)
-            if path is None:
-                # The bulk walk refused this pair; the per-pair resolve
-                # raises the precise diagnostic (or proves it wrong).
-                path = tuple(self.fabric.path(src, dst, lidx))
-            hit = (self._pool.add(path), path)
-            self._resolve_cache[key] = hit
-        return hit
-
-    def _reset_caches(self) -> None:
-        self._resolve_cache.clear()
-        self._uplink_cache.clear()
-        self._dest_cache.clear()
-        self._pool = PathPool()
-
-    def invalidate_paths(self) -> None:
-        """Drop cached paths after the fabric's tables changed.
-
-        An SM re-sweep (:func:`repro.ib.subnet_manager.resweep`) rewrites
-        forwarding entries in place; programs materialized afterwards must
-        re-resolve against the new tables instead of replaying stale paths
-        over dead cables.  Pool ids die with the cache, so batches built
-        later never alias pre-sweep paths.
-        """
-        self._reset_caches()
 
     # --- MPI operations -----------------------------------------------------------
     def send(self, src_rank: int, dst_rank: int, size: float) -> Program:

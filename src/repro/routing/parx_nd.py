@@ -36,7 +36,10 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.errors import ConfigurationError
+from repro.core.rng import make_rng
+from repro.core.units import BFO_PML_OVERHEAD
 from repro.ib.fabric import Fabric
+from repro.mpi.pml import Pml
 from repro.routing.base import RoutingEngine, install_tree
 from repro.routing.dijkstra import accumulate_tree_loads, tree_to_destination
 from repro.topology.hyperx import hyperx_shape_of
@@ -197,7 +200,7 @@ class NdParxRouting(RoutingEngine):
                 weights[link_id] += load
 
 
-class NdParxPml:
+class NdParxPml(Pml):
     """Messaging layer for :class:`NdParxRouting` (the Table 1 analogue).
 
     Chooses among :func:`nd_lid_choices` using switch coordinates looked
@@ -206,29 +209,30 @@ class NdParxPml:
     """
 
     name = "parx-nd-bfo"
+    overhead = BFO_PML_OVERHEAD
 
     def __init__(self, threshold: int = 512, seed: int = 0) -> None:
-        from repro.core.rng import make_rng
-        from repro.core.units import BFO_PML_OVERHEAD
-
         self.threshold = threshold
-        self.overhead = BFO_PML_OVERHEAD
         self._seed = seed
         self._rng = make_rng(seed)
 
-    def lid_index(self, fabric: Fabric, src: int, dst: int, size: float) -> int:
+    def lid_indices(self, fabric, src, dst, sizes) -> np.ndarray:
         net = fabric.net
         shape = hyperx_shape_of(net)
-        sc = tuple(net.node_meta(net.attached_switch(src))["coord"])
-        dc = tuple(net.node_meta(net.attached_switch(dst))["coord"])
-        choices = nd_lid_choices(sc, dc, shape, large=size >= self.threshold)
-        if len(choices) == 1:
-            return choices[0]
-        return int(choices[self._rng.integers(len(choices))])
+        out = np.empty(len(src), dtype=np.int64)
+        for i, (s, d, z) in enumerate(
+            zip(src.tolist(), dst.tolist(), sizes.tolist())
+        ):
+            sc = tuple(net.node_meta(net.attached_switch(s))["coord"])
+            dc = tuple(net.node_meta(net.attached_switch(d))["coord"])
+            choices = nd_lid_choices(sc, dc, shape, large=z >= self.threshold)
+            out[i] = (
+                choices[0] if len(choices) == 1
+                else choices[self._rng.integers(len(choices))]
+            )
+        return out
 
     def reset(self) -> None:
-        from repro.core.rng import make_rng
-
         self._rng = make_rng(self._seed)
 
 

@@ -1,46 +1,34 @@
-"""Flat-array message batches: a phase as five numpy arrays.
+"""Flat-array message batches: a phase as parallel numpy arrays.
 
-The simulator's hot loop never wants :class:`~repro.sim.flows.Message`
-objects — it wants the phase's payload sizes, per-message software
-overheads and the flattened link-id paths.  Historically
-``FlowSimulator.run_phase`` re-derived those with ``np.fromiter`` over
-every message's ``path`` tuple *each time a phase ran*; for a 672-node
-all-to-all that is ~450k Python-level int reads per phase, repeated for
-671 phases.
+A :class:`MessageBatch` is the one representation of a phase's
+messages, from the MPI job layer through to the fairness solve:
 
-:class:`MessageBatch` is the prebuilt form: parallel arrays
-
-* ``sizes``/``overheads`` — float per message,
-* ``src``/``dst`` — terminal node ids per message,
+* ``sizes``/``overheads`` — float payload bytes and per-message software
+  latency,
+* ``src``/``dst`` — terminal node ids,
+* ``lid_index`` — the destination LID index the PML picked (the route a
+  re-sweep must heal the message onto),
 * ``lens``/``ptr``/``flat`` — the CSR flattening of the link-id paths
   (message ``i`` crosses ``flat[ptr[i]:ptr[i+1]]``).
 
-:func:`flatten_paths` is the one shared flattening kernel — the same
-pass the fairness solver and the byte-per-link accounting use — and
-:class:`PathPool` lets builders (the MPI job layer) construct batches
-from *interned* path ids with a vectorised segment gather instead of
-re-walking path tuples per message: collectives reuse the same
-(src, dst, LID) pairs across rounds, so the per-int Python work happens
-once per unique path, not once per message.
-
-Equivalence guarantee: a batch built by :meth:`MessageBatch.from_pool`
-is element-for-element identical (values *and* dtypes) to
-:meth:`MessageBatch.from_messages` over the same message list, which in
-turn reproduces the arrays ``run_phase`` used to build inline — the
-``tests/test_sim_batch.py`` suite pins this, and it is what keeps
-dynamic-mode results bit-identical to the per-message path.
+:meth:`MessageBatch.from_messages` flattens hand-built
+:class:`~repro.sim.flows.Message` lists through :func:`flatten_paths`,
+the same kernel the fairness solver and the byte-per-link accounting
+use; builders that already hold arrays (``Job.materialize``) construct
+the batch directly.  :meth:`MessageBatch.messages` is the reverse: the
+per-message objects, for the few callers that want them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.flows import Message, Phase
+    from repro.sim.flows import Message
 
-__all__ = ["MessageBatch", "PathPool", "flatten_paths", "phase_batch"]
+__all__ = ["MessageBatch", "flatten_paths"]
 
 
 def flatten_paths(
@@ -56,103 +44,25 @@ def flatten_paths(
     """
     n = len(paths)
     lens = np.fromiter((len(p) for p in paths), dtype=np.intp, count=n)
-    ptr = np.concatenate(([0], lens.cumsum())).astype(np.intp)
+    ptr = csr_offsets(lens)
     flat = np.fromiter(
         (lid for p in paths for lid in p), dtype=np.intp, count=int(ptr[-1])
     )
     return lens, ptr, flat
 
 
-def _segment_gather(
-    starts: np.ndarray, lens: np.ndarray, flat_pool: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``flat_pool[starts[i]:starts[i]+lens[i]]`` segments.
-
-    One vectorised gather: no per-segment Python loop, one output
-    element per gathered link id.
-    """
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=flat_pool.dtype)
-    seg_ends = lens.cumsum()
-    within = np.arange(total) - np.repeat(seg_ends - lens, lens)
-    return flat_pool[np.repeat(starts, lens) + within]
-
-
-class PathPool:
-    """Interned link-id paths, stored once as one growing flat array.
-
-    ``add`` registers a path and returns its id; ``MessageBatch`` then
-    gathers per-message segments by id.  The pool never deduplicates —
-    callers that intern (the job layer keys on ``(src, dst, lid_index)``)
-    get dedup for free, and callers that do not still get the one-pass
-    gather.
-    """
-
-    __slots__ = ("_paths", "_starts", "_lens", "_flat", "_built", "_flat_used")
-
-    def __init__(self) -> None:
-        self._paths: list[Sequence[int]] = []
-        self._starts = np.empty(0, dtype=np.intp)
-        self._lens = np.empty(0, dtype=np.intp)
-        self._flat = np.empty(0, dtype=np.intp)
-        self._built = 0  # paths already folded into the arrays
-        self._flat_used = 0  # valid prefix of the _flat buffer
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def add(self, path: Sequence[int]) -> int:
-        """Register a path; returns its pool id."""
-        self._paths.append(path)
-        return len(self._paths) - 1
-
-    @staticmethod
-    def _append(buf: np.ndarray, used: int, new: np.ndarray) -> np.ndarray:
-        """Copy ``new`` in at ``buf[used:]``, growing geometrically.
-
-        Amortised-linear over the pool's lifetime — the old code
-        re-concatenated the *whole* array on every flush, which made a
-        call-per-phase builder quadratic in the total path count.
-        """
-        need = used + new.size
-        if need > buf.size:
-            grown = np.empty(max(need, 2 * buf.size, 1024), dtype=np.intp)
-            grown[:used] = buf[:used]
-            buf = grown
-        buf[used:need] = new
-        return buf
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, lens, flat)`` over every registered path.
-
-        Rebuilt incrementally: only paths added since the last call are
-        flattened and copied into preallocated buffers, so repeated
-        batch construction over a growing pool stays linear in new
-        work.  The results are views of the internal buffers — callers
-        must treat them as read-only.
-        """
-        if self._built < len(self._paths):
-            new = self._paths[self._built:]
-            lens, ptr, flat = flatten_paths(new)
-            self._starts = self._append(
-                self._starts, self._built, ptr[:-1] + self._flat_used
-            )
-            self._lens = self._append(self._lens, self._built, lens)
-            self._flat = self._append(self._flat, self._flat_used, flat)
-            self._built = len(self._paths)
-            self._flat_used += int(flat.size)
-        return (
-            self._starts[: self._built],
-            self._lens[: self._built],
-            self._flat[: self._flat_used],
-        )
+def csr_offsets(lens: np.ndarray) -> np.ndarray:
+    """The ``ptr`` array of a CSR layout: ``[0, cumsum(lens)...]``."""
+    return np.concatenate(([0], lens.cumsum())).astype(np.intp)
 
 
 class MessageBatch:
     """A phase's messages as parallel flat arrays (see module docs)."""
 
-    __slots__ = ("n", "sizes", "overheads", "src", "dst", "lens", "ptr", "flat")
+    __slots__ = (
+        "n", "sizes", "overheads", "src", "dst", "lid_index", "lens", "ptr",
+        "flat",
+    )
 
     def __init__(
         self,
@@ -160,8 +70,8 @@ class MessageBatch:
         overheads: np.ndarray,
         src: np.ndarray,
         dst: np.ndarray,
+        lid_index: np.ndarray,
         lens: np.ndarray,
-        ptr: np.ndarray,
         flat: np.ndarray,
     ) -> None:
         self.n = int(len(sizes))
@@ -169,58 +79,74 @@ class MessageBatch:
         self.overheads = overheads
         self.src = src
         self.dst = dst
+        self.lid_index = lid_index
         self.lens = lens
-        self.ptr = ptr
+        self.ptr = csr_offsets(lens)
         self.flat = flat
 
     @classmethod
     def from_messages(cls, messages: Sequence["Message"]) -> "MessageBatch":
-        """Build a batch from message objects (the compatibility path).
-
-        Reproduces exactly the arrays ``run_phase`` built inline before
-        batching existed — hand-assembled phases pay this once per run,
-        like they always did.
-        """
+        """Build a batch from message objects (hand-assembled phases)."""
         n = len(messages)
-        lens, ptr, flat = flatten_paths([m.path for m in messages])
-        sizes = np.fromiter((m.size for m in messages), dtype=float, count=n)
-        overheads = np.fromiter(
-            (m.overhead for m in messages), dtype=float, count=n
+        lens, _, flat = flatten_paths([m.path for m in messages])
+
+        def column(attr: str, dtype: type) -> np.ndarray:
+            return np.fromiter(
+                (getattr(m, attr) for m in messages), dtype=dtype, count=n
+            )
+
+        return cls(
+            column("size", float),
+            column("overhead", float),
+            column("src", np.int64),
+            column("dst", np.int64),
+            column("lid_index", np.int64),
+            lens,
+            flat,
         )
-        src = np.fromiter((m.src for m in messages), dtype=np.int64, count=n)
-        dst = np.fromiter((m.dst for m in messages), dtype=np.int64, count=n)
-        return cls(sizes, overheads, src, dst, lens, ptr, flat)
 
     @classmethod
-    def from_pool(
-        cls,
-        pool: PathPool,
-        path_ids: Sequence[int],
-        sizes: Iterable[float],
-        overhead: float,
-        src: Sequence[int],
-        dst: Sequence[int],
-    ) -> "MessageBatch":
-        """Build a batch from pooled path ids (the builder fast path).
+    def concat(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
+        """One batch holding every input batch's messages, in order."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(*(
+            np.concatenate([getattr(b, attr) for b in batches])
+            for attr in (
+                "sizes", "overheads", "src", "dst", "lid_index", "lens", "flat"
+            )
+        ))
 
-        ``overhead`` is the per-message software latency (constant per
-        PML, hence scalar here).  Arrays come out identical to
-        :meth:`from_messages` over the corresponding message objects.
-        """
-        starts_all, lens_all, flat_pool = pool.arrays()
-        pid = np.asarray(path_ids, dtype=np.intp)
-        n = int(pid.size)
-        lens = lens_all[pid]
-        ptr = np.concatenate(([0], lens.cumsum())).astype(np.intp)
-        flat = _segment_gather(starts_all[pid], lens, flat_pool)
-        return cls(
-            np.asarray(sizes, dtype=float),
-            np.full(n, float(overhead)),
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            lens,
-            ptr,
-            flat,
+    def path(self, i: int) -> tuple[int, ...]:
+        """Message ``i``'s link ids."""
+        return tuple(self.flat[self.ptr[i]:self.ptr[i + 1]].tolist())
+
+    def with_paths(
+        self, rows: Sequence[int], paths: Sequence[Sequence[int]]
+    ) -> "MessageBatch":
+        """A copy whose messages ``rows`` travel ``paths`` instead."""
+        segments = np.split(self.flat, self.ptr[1:-1])
+        for r, p in zip(rows, paths):
+            segments[r] = np.asarray(p, dtype=self.flat.dtype)
+        lens = self.lens.copy()
+        lens[rows] = [len(p) for p in paths]
+        return MessageBatch(
+            self.sizes, self.overheads, self.src, self.dst, self.lid_index,
+            lens, np.concatenate(segments),
+        )
+
+    def messages(self) -> tuple["Message", ...]:
+        """The batch as message objects, one per row."""
+        from repro.sim.flows import Message
+
+        flat = self.flat.tolist()
+        ptr = self.ptr.tolist()
+        return tuple(
+            Message(s, d, z, tuple(flat[ptr[i]:ptr[i + 1]]), o, lid)
+            for i, (s, d, z, o, lid) in enumerate(zip(
+                self.src.tolist(), self.dst.tolist(), self.sizes.tolist(),
+                self.overheads.tolist(), self.lid_index.tolist(),
+            ))
         )
 
     def bytes_per_link(self, n_links: int) -> np.ndarray:
@@ -236,19 +162,3 @@ class MessageBatch:
             weights=np.repeat(self.sizes, self.lens),
             minlength=n_links,
         )
-
-
-def phase_batch(phase: "Phase") -> "MessageBatch":
-    """The phase's prebuilt batch, or a fresh one from its messages.
-
-    A prebuilt batch is trusted only while its message count still
-    matches the phase (builders attach batches at materialisation time;
-    code that edits ``phase.messages`` in place afterwards must call
-    :meth:`~repro.sim.flows.Phase.invalidate_batch`).  Phases without a
-    valid batch are flattened from their message objects — the exact
-    arrays the simulator used to build inline.
-    """
-    b = phase.batch
-    if b is not None and b.n == len(phase.messages):
-        return b
-    return MessageBatch.from_messages(phase.messages)

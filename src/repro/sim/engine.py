@@ -27,13 +27,13 @@ a dead cable must never simulate at line rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.sim.batch import phase_batch
+from repro.sim.batch import MessageBatch
 from repro.sim.fairness import FairnessProblem
 from repro.sim.flows import Message, Phase, Program
 from repro.sim.latency import QDR_LATENCY, LatencyModel
@@ -51,9 +51,10 @@ _MAX_EVENTS_PER_PHASE = 2000
 #: returns is collected in :attr:`FlowSimulator.reroute_reports`.
 FabricEventHook = Callable[[list[FabricEvent], int], Any]
 
-#: Maps a message with a stale path to a fresh link-id path (after a
+#: Maps ``(src, dst, lid_index)`` of a message with a stale path to a
+#: fresh link-id path through the same destination LID (after a
 #: re-sweep), or ``None`` when the pair is unreachable.
-RerouteFn = Callable[[Message], Sequence[int] | None]
+RerouteFn = Callable[[int, int, int], Sequence[int] | None]
 
 
 @dataclass(slots=True)
@@ -109,39 +110,6 @@ class SimResult:
         """Total serialisation time across phases (no gaps, no latency)."""
         return sum(p.transfer_time for p in self.phases)
 
-    def message_bandwidths(self, program: Program) -> list[tuple[Message, float]]:
-        """Observable bandwidth of every message of ``program``.
-
-        Pairs the per-message completion times collected during the run
-        with the program's messages (the result stores only timings, not
-        the messages themselves): bandwidth = payload / completion time,
-        0.0 for zero-byte messages.  Requires the result to come from
-        ``run(program, collect_messages=True)`` on the same program;
-        raises :class:`SimulationError` otherwise.
-        """
-        if len(program.phases) != len(self.phases):
-            raise SimulationError(
-                f"program has {len(program.phases)} phases but this result "
-                f"recorded {len(self.phases)}; pass the program this result "
-                "was produced from"
-            )
-        out: list[tuple[Message, float]] = []
-        for phase, pr in zip(program.phases, self.phases):
-            if pr.message_times is None:
-                raise SimulationError(
-                    "per-message times were not collected; run with "
-                    "collect_messages=True"
-                )
-            if len(pr.message_times) != len(phase.messages):
-                raise SimulationError(
-                    f"phase {pr.label!r} recorded {len(pr.message_times)} "
-                    f"message times for {len(phase.messages)} messages"
-                )
-            for msg, t in zip(phase.messages, pr.message_times):
-                bw = msg.size / t if msg.size > 0 and t > 0 else 0.0
-                out.append((msg, bw))
-        return out
-
 
 class FlowSimulator:
     """Max-min fair flow simulator over one network plane.
@@ -157,9 +125,10 @@ class FlowSimulator:
         are applied — typically an SM re-sweep; a non-``None`` return is
         appended to :attr:`reroute_reports`.
     reroute:
-        Given a message whose path crosses a disabled link, returns a
-        fresh path (from the re-swept fabric) or ``None`` when the pair
-        is unreachable.  Without it, stale paths raise.
+        Given ``(src, dst, lid_index)`` of a message whose path crosses
+        a disabled link, returns a fresh path through the same
+        destination LID (from the re-swept fabric) or ``None`` when the
+        pair is unreachable.  Without it, stale paths raise.
     """
 
     def __init__(
@@ -185,6 +154,8 @@ class FlowSimulator:
         #: ``(event, representative link id)`` pairs, in firing order.
         self.events_applied: list[tuple[FabricEvent, int]] = []
         self.messages_rerouted = 0
+        #: Flows the dynamic safety valve approximated, over all runs.
+        self.events_truncated = 0
         #: Whatever ``on_fabric_event`` returned, per event batch
         #: (RerouteReports when the hook is an SM re-sweep).
         self.reroute_reports: list[Any] = []
@@ -223,6 +194,7 @@ class FlowSimulator:
             result.phases.append(pr)
             result.total_time += pr.duration
             result.events_truncated += pr.events_truncated
+            self.events_truncated += pr.events_truncated
             if i + 1 < len(program.phases):
                 result.total_time += program.compute_between_phases
         result.events_applied = len(self.events_applied) - events_before
@@ -232,14 +204,11 @@ class FlowSimulator:
     def run_phase(self, phase: Phase, collect_messages: bool = False) -> PhaseResult:
         """Execute one synchronised round of messages.
 
-        Consumes the phase's prebuilt :class:`~repro.sim.batch
-        .MessageBatch` when one is attached (the job layer builds them at
-        materialisation time); phases without one are flattened here via
-        the same shared kernel, so both paths run the identical numpy
-        passes.
+        Works on the phase's :class:`~repro.sim.batch.MessageBatch`
+        arrays only; no message objects are built.
         """
-        msgs = phase.messages
-        if not msgs:
+        batch = phase.batch
+        if batch.n == 0:
             return PhaseResult(
                 label=phase.label,
                 duration=0.0,
@@ -255,10 +224,9 @@ class FlowSimulator:
         # version counter, so the cheap version check suffices here.
         self.state.refresh()
 
-        batch = phase_batch(phase)
         lens, ptr, flat = batch.lens, batch.ptr, batch.flat
         sizes = batch.sizes
-        self._check_paths(phase, ptr, flat, sizes)
+        self._check_paths(phase)
 
         # Switch-switch hops per message: cumsum-difference over the flat
         # link array — one pass, no per-path Python loop or cache.
@@ -273,9 +241,9 @@ class FlowSimulator:
         problem = FairnessProblem(None, caps, prebuilt_flat=(lens, flat))
         truncated = 0
         if self.mode == "static":
-            finish = self._static_finish(msgs, problem, sizes)
+            finish = self._static_finish(batch, problem)
         else:
-            finish, truncated = self._dynamic_finish(msgs, problem, sizes)
+            finish, truncated = self._dynamic_finish(batch, problem)
 
         # Per-phase busy-seconds snapshot: bytes over each link divided
         # by the capacity in effect *now*, while the phase's bytes move.
@@ -290,7 +258,7 @@ class FlowSimulator:
         return PhaseResult(
             label=phase.label,
             duration=duration,
-            num_messages=len(msgs),
+            num_messages=batch.n,
             bytes_moved=float(sizes.sum()),
             transfer_time=float(finish.max()),
             message_times=times.tolist() if collect_messages else None,
@@ -348,8 +316,7 @@ class FlowSimulator:
         # capacities (the only view available after the fact).
         bytes_total = np.zeros(len(caps))
         for phase in program.phases:
-            if phase.messages:
-                bytes_total += phase_batch(phase).bytes_per_link(len(caps))
+            bytes_total += phase.batch.bytes_per_link(len(caps))
         return {
             int(l): float(bytes_total[l] / (caps[l] * transfer))
             for l in np.flatnonzero(bytes_total)
@@ -368,21 +335,24 @@ class FlowSimulator:
         # dict insertion order.
         return sorted(util.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
 
+    def phase_bandwidths(self, phase: Phase) -> np.ndarray:
+        """Observable bandwidth per message of a concurrent phase.
+
+        The mpiGraph-style metric, in batch row order: payload divided
+        by completion time (including the latency floor).  Zero-byte
+        messages report 0.
+        """
+        pr = self.run_phase(phase, collect_messages=True)
+        times = np.asarray(pr.message_times, dtype=float)
+        sizes = phase.batch.sizes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((sizes > 0) & (times > 0), sizes / times, 0.0)
+
     def pair_bandwidths(
         self, phase: Phase
     ) -> list[tuple[Message, float]]:
-        """Observable bandwidth per message of a concurrent phase.
-
-        The mpiGraph-style metric: payload divided by completion time
-        (including the latency floor).  Zero-byte messages report 0.
-        """
-        pr = self.run_phase(phase, collect_messages=True)
-        assert pr.message_times is not None
-        out = []
-        for msg, t in zip(phase.messages, pr.message_times):
-            bw = msg.size / t if msg.size > 0 and t > 0 else 0.0
-            out.append((msg, bw))
-        return out
+        """:meth:`phase_bandwidths` paired with the message objects."""
+        return list(zip(phase.messages, self.phase_bandwidths(phase).tolist()))
 
     # --- fault timeline ----------------------------------------------------------
     def _apply_events(self, phase_index: int) -> list[FabricEvent]:
@@ -397,92 +367,80 @@ class FlowSimulator:
             fired.append(event)
         return fired
 
+    @staticmethod
+    def _rows_crossing(batch: MessageBatch, mask: np.ndarray) -> np.ndarray:
+        """Rows of ``batch`` whose path crosses a link set in ``mask``."""
+        csum = np.concatenate(([0], mask[batch.flat].cumsum()))
+        return np.flatnonzero(csum[batch.ptr[1:]] > csum[batch.ptr[:-1]])
+
     def _heal_phase(self, phase: Phase) -> Phase:
         """Replace stale paths over disabled links via the reroute callback.
 
-        Without a callback the phase is returned untouched and
-        :meth:`run_phase` raises the stale-LFT diagnostic instead.
+        Only the dead rows are re-resolved (each through the LID index it
+        was materialised with); their new paths are spliced into a copy
+        of the batch.  Without a callback the phase is returned untouched
+        and :meth:`run_phase` raises the stale-LFT diagnostic instead.
         """
-        if self.reroute is None:
+        if self.reroute is None or not self.state.disabled:
             return phase
-        self.state.refresh()
-        if not self.state.disabled:
+        batch = phase.batch
+        rows = self._rows_crossing(batch, self.state.disabled_mask).tolist()
+        if not rows:
             return phase
-        healed: list[Message] = []
-        changed = False
-        for m in phase.messages:
-            dead = self.state.disabled_on(m.path)
-            if dead:
-                new_path = self.reroute(m)
-                if new_path is None:
-                    raise SimulationError(
-                        f"message {m.src}->{m.dst} in phase {phase.label!r} "
-                        f"cannot be rerouted: pair unreachable after cable "
-                        f"failure (dead link(s) {dead})"
-                    )
-                new_path = tuple(new_path)
-                still_dead = self.state.disabled_on(new_path)
-                if still_dead:
-                    raise SimulationError(
-                        f"reroute for message {m.src}->{m.dst} still crosses "
-                        f"disabled link(s) {still_dead}; the forwarding "
-                        "tables were not re-swept after the failure"
-                    )
-                m = replace(m, path=new_path)
-                self.messages_rerouted += 1
-                changed = True
-            healed.append(m)
-        if not changed:
-            return phase
-        return Phase(messages=healed, label=phase.label)
+        paths = []
+        for r in rows:
+            src, dst = int(batch.src[r]), int(batch.dst[r])
+            dead = self.state.disabled_on(batch.path(r))
+            new_path = self.reroute(src, dst, int(batch.lid_index[r]))
+            if new_path is None:
+                raise SimulationError(
+                    f"message {src}->{dst} in phase {phase.label!r} "
+                    f"cannot be rerouted: pair unreachable after cable "
+                    f"failure (dead link(s) {dead})"
+                )
+            still_dead = self.state.disabled_on(new_path)
+            if still_dead:
+                raise SimulationError(
+                    f"reroute for message {src}->{dst} still crosses "
+                    f"disabled link(s) {still_dead}; the forwarding "
+                    "tables were not re-swept after the failure"
+                )
+            paths.append(new_path)
+        self.messages_rerouted += len(rows)
+        return Phase(label=phase.label, batch=batch.with_paths(rows, paths))
 
-    def _check_paths(
-        self,
-        phase: Phase,
-        ptr: np.ndarray,
-        flat: np.ndarray,
-        sizes: np.ndarray,
-    ) -> None:
+    def _check_paths(self, phase: Phase) -> None:
         """Refuse stale paths over dead links and flows that cannot progress.
 
-        ``ptr``/``flat`` are the phase's flattened link-id paths (message
-        ``i`` owns ``flat[ptr[i]:ptr[i+1]]``); the scan is a pair of mask
-        gathers, and only the (cold) failure path walks messages in
+        The scan is a pair of mask gathers over the phase's flattened
+        link-id paths; only the (cold) failure path walks one message in
         Python to name the offending links.
         """
         dis = self.state.disabled_mask
         npos = self.state.nonpositive_mask
         if not (dis.any() or npos.any()):
             return
-        flat_dead = dis[flat]
-        if flat_dead.any():
-            first = int(
-                np.searchsorted(
-                    ptr, np.flatnonzero(flat_dead)[0], side="right"
-                )
-            ) - 1
-            m = phase.messages[first]
-            dead = self.state.disabled_on(m.path)
+        batch = phase.batch
+        dead = self._rows_crossing(batch, dis)
+        if dead.size:
+            i = int(dead[0])
             raise SimulationError(
-                f"message {m.src}->{m.dst} in phase {phase.label!r} uses "
-                f"disabled link(s) {dead}: its path predates a cable "
-                "failure, so the forwarding table entry is stale. "
+                f"message {batch.src[i]}->{batch.dst[i]} in phase "
+                f"{phase.label!r} uses disabled link(s) "
+                f"{self.state.disabled_on(batch.path(i))}: its path predates "
+                "a cable failure, so the forwarding table entry is stale. "
                 "Re-sweep the fabric (OpenSM.resweep) and rebuild the "
                 "program's paths before simulating."
             )
-        starve_csum = np.concatenate(
-            ([0], npos[flat].cumsum())
-        ).astype(np.intp)
-        starved_msgs = (
-            (starve_csum[ptr[1:]] - starve_csum[ptr[:-1]]) > 0
-        ) & (sizes > 0)
-        if starved_msgs.any():
-            m = phase.messages[int(np.flatnonzero(starved_msgs)[0])]
-            starved = self.state.nonpositive_on(m.path)
+        starved = self._rows_crossing(batch, npos)
+        starved = starved[batch.sizes[starved] > 0]
+        if starved.size:
+            i = int(starved[0])
             raise SimulationError(
-                f"message {m.src}->{m.dst} in phase {phase.label!r} is "
-                f"starved: link(s) {starved} on its path have zero "
-                "capacity, so the flow would never finish"
+                f"message {batch.src[i]}->{batch.dst[i]} in phase "
+                f"{phase.label!r} is starved: link(s) "
+                f"{self.state.nonpositive_on(batch.path(i))} on its path "
+                "have zero capacity, so the flow would never finish"
             )
 
     # --- internals ---------------------------------------------------------------
@@ -503,7 +461,7 @@ class FlowSimulator:
         return self._swsw_mask
 
     def _raise_if_starved(
-        self, msgs: Sequence[Message], idx: np.ndarray, bad: np.ndarray
+        self, batch: MessageBatch, idx: np.ndarray, bad: np.ndarray
     ) -> None:
         """Turn a non-finite time-to-finish into a named error.
 
@@ -511,28 +469,31 @@ class FlowSimulator:
         behaviour mapped that to 0.0, so starved flows "completed"
         instantly — the exact opposite of the truth.
         """
-        first = msgs[int(idx[int(np.flatnonzero(bad)[0])])]
+        first = int(idx[int(np.flatnonzero(bad)[0])])
         raise SimulationError(
-            f"flow {first.src}->{first.dst} ({first.size:.0f} B) is starved: "
+            f"flow {batch.src[first]}->{batch.dst[first]} "
+            f"({batch.sizes[first]:.0f} B) is starved: "
             "its max-min fair rate is 0, so it would never finish"
         )
 
     def _static_finish(
-        self, msgs: Sequence[Message], problem: FairnessProblem, sizes: np.ndarray
+        self, batch: MessageBatch, problem: FairnessProblem
     ) -> np.ndarray:
+        sizes = batch.sizes
         rates = problem.rates()
         with np.errstate(invalid="ignore"):
             finish = np.where(sizes > 0, sizes / rates, 0.0)
         bad = ~np.isfinite(finish)
         if bad.any():
-            self._raise_if_starved(msgs, np.arange(len(msgs)), bad)
+            self._raise_if_starved(batch, np.arange(batch.n), bad)
         return finish
 
     def _dynamic_finish(
-        self, msgs: Sequence[Message], problem: FairnessProblem, sizes: np.ndarray
+        self, batch: MessageBatch, problem: FairnessProblem
     ) -> tuple[np.ndarray, int]:
         """Finish times plus the count of safety-valve-truncated flows."""
-        n = len(sizes)
+        sizes = batch.sizes
+        n = batch.n
         finish = np.zeros(n)
         # The loop state lives in arrays aligned with the *active* flow
         # subset (``idx`` maps back to message order) and shrinks as
@@ -564,7 +525,7 @@ class FlowSimulator:
                 ttf = rem / rates
                 bad = ~np.isfinite(ttf)
                 if bad.any():
-                    self._raise_if_starved(msgs, idx, bad)
+                    self._raise_if_starved(batch, idx, bad)
                 dt = float(ttf.min())
                 now += dt
                 rem = rem - rates * dt
@@ -594,6 +555,6 @@ class FlowSimulator:
                 ttf = rem / rates
                 bad = ~np.isfinite(ttf)
                 if bad.any():
-                    self._raise_if_starved(msgs, idx, bad)
+                    self._raise_if_starved(batch, idx, bad)
                 finish[idx] = now + ttf
         return finish, truncated

@@ -11,10 +11,9 @@ so workloads, collectives and benchmarks all speak one language.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.batch import MessageBatch
+from repro.sim.batch import MessageBatch
 
 
 @dataclass(slots=True)
@@ -33,8 +32,10 @@ class Message:
     overhead:
         Per-message software latency (PML-dependent; this is where the
         bfo penalty of section 5.1 lives).
-    tag:
-        Free-form label for reporting (e.g. "bcast-round-2").
+    lid_index:
+        Destination LID index the path was resolved through (0 is the
+        base LID); a fault re-route heals the message onto the same
+        LID's new route.
     """
 
     src: int
@@ -42,36 +43,45 @@ class Message:
     size: float
     path: tuple[int, ...]
     overhead: float = 0.0
-    tag: str = ""
+    lid_index: int = 0
 
 
-@dataclass(slots=True)
 class Phase:
-    """A synchronised round of messages.
+    """A synchronised round of messages, held as one
+    :class:`~repro.sim.batch.MessageBatch`.
 
-    ``batch`` optionally carries the phase's prebuilt flat-array form
-    (:class:`~repro.sim.batch.MessageBatch`); builders that lower
-    rank-level phases (the job layer) attach it so the simulator skips
-    per-message flattening.  It is advisory: the simulator only trusts a
-    batch whose message count still matches, and code that edits
-    ``messages`` in place must call :meth:`invalidate_batch`.
+    Builders that already hold arrays (the job layer) pass ``batch``;
+    hand-assembled phases pass ``messages``, which are flattened once
+    here.  :attr:`messages` is a read-only view: the objects a phase was
+    built from, or, for batch-built phases, objects made from the batch
+    on first access.
     """
 
-    messages: list[Message] = field(default_factory=list)
-    label: str = ""
-    batch: "MessageBatch | None" = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("batch", "label", "_messages")
+
+    def __init__(
+        self,
+        messages: Iterable[Message] = (),
+        label: str = "",
+        *,
+        batch: MessageBatch | None = None,
+    ) -> None:
+        msgs = tuple(messages) if batch is None else None
+        self._messages = msgs
+        self.batch = batch or MessageBatch.from_messages(msgs or ())
+        self.label = label
+
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        if self._messages is None:
+            self._messages = self.batch.messages()
+        return self._messages
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return self.batch.n
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self.messages)
-
-    def invalidate_batch(self) -> None:
-        """Drop the prebuilt flat-array form after editing ``messages``."""
-        self.batch = None
 
 
 @dataclass(slots=True)
@@ -100,7 +110,7 @@ class Program:
 
 def program_bytes(program: Program) -> float:
     """Total payload bytes a program injects (tests: byte conservation)."""
-    return sum(m.size for phase in program for m in phase)
+    return sum(z for phase in program for z in phase.batch.sizes.tolist())
 
 
 def merge_concurrent(programs: Iterable[Program], label: str = "") -> Program:
@@ -114,9 +124,8 @@ def merge_concurrent(programs: Iterable[Program], label: str = "") -> Program:
     out = Program(label=label)
     depth = max((len(p) for p in progs), default=0)
     for i in range(depth):
-        phase = Phase(label=f"{label}[{i}]")
-        for p in progs:
-            if i < len(p):
-                phase.messages.extend(p.phases[i].messages)
-        out.phases.append(phase)
+        batch = MessageBatch.concat(
+            [p.phases[i].batch for p in progs if i < len(p)]
+        )
+        out.phases.append(Phase(label=f"{label}[{i}]", batch=batch))
     return out

@@ -93,11 +93,14 @@ def mpigraph(
     """
     p = job.num_ranks
     bw = np.zeros((p, p))
-    node_rank = {n: r for r, n in enumerate(job.nodes)}
+    rank_of = np.full(job.fabric.net.num_nodes, -1, dtype=np.int64)
+    rank_of[job.nodes] = np.arange(p)
     for k in range(1, p):
         program = job.materialize([shift_pattern(p, size, k)], label=f"shift{k}")
-        for msg, b in sim.pair_bandwidths(program.phases[0]):
-            bw[node_rank[msg.src], node_rank[msg.dst]] = b
+        batch = program.phases[0].batch
+        bw[rank_of[batch.src], rank_of[batch.dst]] = sim.phase_bandwidths(
+            program.phases[0]
+        )
     return bw
 
 
@@ -132,8 +135,7 @@ def effective_bisection_bandwidth(
     for _ in range(samples):
         phase_ranks = bisection_pairs(p, size, seed=rng)
         program = job.materialize([phase_ranks], label="ebb")
-        bws = [b for _, b in sim.pair_bandwidths(program.phases[0])]
-        values.append(float(np.mean(bws)))
+        values.append(float(np.mean(sim.phase_bandwidths(program.phases[0]))))
     return float(np.mean(values))
 
 
@@ -188,6 +190,6 @@ def emdl(
     one = job.allreduce(size, algorithm="ring")
     for step in range(steps):
         for ph in one.phases:
-            program.phases.append(Phase(list(ph.messages), label=f"emdl{step}"))
+            program.phases.append(Phase(label=f"emdl{step}", batch=ph.batch))
     t = sim.run(program).total_time
     return t + steps * compute_seconds

@@ -19,24 +19,6 @@ from repro.core.rng import make_rng
 from repro.mpi.collectives import RankPhase
 
 
-def rank_phase_arrays(
-    rank_phase: RankPhase,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One rank-level phase as ``(src_ranks, dst_ranks, sizes)`` arrays.
-
-    The rank-space mirror of the simulator's flat-array message batches
-    (:mod:`repro.sim.batch`): pattern generators stay list-of-tuples for
-    composability, and this converts a phase once into parallel numpy
-    arrays for traffic-matrix math and the batch-equivalence tests —
-    instead of every consumer re-walking the tuples.
-    """
-    n = len(rank_phase)
-    src = np.fromiter((s for s, _, _ in rank_phase), dtype=np.int64, count=n)
-    dst = np.fromiter((d for _, d, _ in rank_phase), dtype=np.int64, count=n)
-    sizes = np.fromiter((z for _, _, z in rank_phase), dtype=float, count=n)
-    return src, dst, sizes
-
-
 def rank_grid(p: int, dims: int) -> tuple[int, ...]:
     """Factor ``p`` ranks into a near-cubic ``dims``-dimensional grid.
 

@@ -369,3 +369,57 @@ class TestPublicSurface:
                 measure=lambda job, sim: app.kernel_runtime(job, sim),
                 num_nodes=8, reps=1, scale=2, seed=0, sim_mode="static",
             )
+
+
+class TestAnomalyCounters:
+    """Approximations inside a completed cell reach its ledger record
+    and the ``campaign status`` rollup."""
+
+    def _run(self, tmp_path, sim_mode="dynamic"):
+        spec = CampaignSpec("anomalies", capability_grid(
+            ["hx-dfsssp-linear"], ["imb:Alltoall:65536"], [12],
+            reps=1, scale=2, sim_mode=sim_mode,
+        ))
+        status = run_campaign(spec, tmp_path, workers=1)
+        assert status.all_completed
+        (record,) = Ledger(campaign_paths(tmp_path)["ledger"]).records()
+        return status.to_dict(), record
+
+    def test_exact_cell_reports_zero_anomalies(self, tmp_path):
+        status, record = self._run(tmp_path)
+        zero = {"events_truncated": 0, "resolve_fallbacks": 0}
+        assert record["anomalies"] == zero
+        assert status["anomalies"] == zero
+        assert status["cells"][0]["anomalies"] == zero
+
+    def test_event_valve_truncation_is_counted(self, tmp_path, monkeypatch):
+        import repro.sim.engine as engine
+
+        monkeypatch.setattr(engine, "_MAX_EVENTS_PER_PHASE", 1)
+        status, record = self._run(tmp_path)
+        assert record["anomalies"]["events_truncated"] > 0
+        assert (status["anomalies"]["events_truncated"]
+                == record["anomalies"]["events_truncated"])
+
+    def test_resolve_fallback_is_counted(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import repro.ib.fabric as fabric_module
+
+        exact = self._run(tmp_path / "exact")[1]
+        clear_fabric_cache()
+        real = fabric_module.walk_dest_links
+
+        def refusing(*args, **kwargs):
+            ok, lens, steps = real(*args, **kwargs)
+            ok = ok.copy()
+            ok[:, 0] = False  # every walk from the first switch
+            return ok, lens, steps
+
+        monkeypatch.setattr(fabric_module, "walk_dest_links", refusing)
+        status, record = self._run(tmp_path / "refused")
+        assert record["anomalies"]["resolve_fallbacks"] > 0
+        assert (status["anomalies"]["resolve_fallbacks"]
+                == record["anomalies"]["resolve_fallbacks"])
+        # The per-pair resolve found the same paths: values are exact.
+        assert record["values"] == exact["values"]

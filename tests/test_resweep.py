@@ -120,7 +120,6 @@ class TestAcceptanceScenario:
 
         def on_event(events, phase_index):
             report = resweep(fabric, engine, events=events)
-            job.invalidate_paths()
             reports.append(report)
             return report
 
@@ -128,7 +127,7 @@ class TestAcceptanceScenario:
             net, mode="static",
             timeline=[FabricEvent("fail_cable", phase=1, cable=cable.id)],
             on_fabric_event=on_event,
-            reroute=lambda m: tuple(fabric.path(m.src, m.dst)),
+            reroute=fabric.path,
         )
         res = sim.run(prog)
         assert res.events_applied == 1
@@ -175,3 +174,61 @@ class TestAcceptanceScenario:
         assert result.events_applied == 1
         assert result.unreachable_pairs == 0
         assert result.best > 0
+
+
+class TestRerouteKeepsTheLid:
+    """A healed message keeps the destination LID its PML picked: a bfo
+    message on LID 1 is healed onto LID 1's re-swept route, not onto
+    the base LID's."""
+
+    def test_bfo_message_healed_onto_its_lid(self):
+        from repro.mpi.pml import BfoPml
+
+        # Find a pair and a cable on its LID-1 route such that, after the
+        # failure and re-sweep, LIDs 0 and 1 route the pair differently.
+        candidate = None
+        probe_net = hyperx((4, 4), 2)
+        probe = OpenSM(probe_net, lmc=2).run(DfssspRouting())
+        terminals = probe_net.terminals
+        for dst in terminals[1:]:
+            path1 = probe.path(terminals[0], dst, 1)
+            if len(path1) < 3:
+                continue
+            probe_net.disable_cable(path1[1])
+            resweep(probe, DfssspRouting())
+            if probe.path(terminals[0], dst, 1) != probe.path(terminals[0], dst, 0):
+                candidate = (dst, path1[1])
+                break
+            probe_net.enable_cable(path1[1])
+            resweep(probe, DfssspRouting())
+        assert candidate is not None
+        dst, cable = candidate
+
+        net = hyperx((4, 4), 2)
+        fabric = OpenSM(net, lmc=2).run(DfssspRouting())
+        src = net.terminals[0]
+        job = Job(fabric, [src, dst], pml=BfoPml())
+        # bfo round-robins per connection: the second send takes LID 1.
+        prog = job.materialize([[(0, 1, 1.0 * MIB)], [(0, 1, 1.0 * MIB)]])
+        assert prog.phases[1].batch.lid_index.tolist() == [1]
+        assert cable in prog.phases[1].batch.flat.tolist()
+
+        healed = []
+
+        def reroute(s, d, lid_index):
+            path = fabric.reroute(s, d, lid_index)
+            healed.append((s, d, lid_index, path))
+            return path
+
+        sim = FlowSimulator(
+            net, mode="static",
+            timeline=[FabricEvent("fail_cable", phase=1, cable=cable)],
+            on_fabric_event=lambda events, i: resweep(
+                fabric, DfssspRouting(), events=events
+            ),
+            reroute=reroute,
+        )
+        result = sim.run(prog)
+        assert result.messages_rerouted == 1
+        assert healed == [(src, dst, 1, fabric.path(src, dst, 1))]
+        assert fabric.path(src, dst, 1) != fabric.path(src, dst, 0)

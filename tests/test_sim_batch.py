@@ -1,12 +1,13 @@
 """Equivalence suite for flat-array message batches (repro.sim.batch).
 
 The batched phase pipeline must be a pure representation change: a
-phase simulated through its prebuilt :class:`MessageBatch` produces
-*bit-identical* timings to the same phase flattened per message (the
-pre-batch inline arrays).  This file pins that — at the array level
-(``from_pool`` vs ``from_messages``), at the simulator level (random
-programs, static and dynamic, with and without fabric events), and on
-the paper's 672-node t2hx cell via golden durations.
+phase simulated from the job layer's batch produces *bit-identical*
+timings to the same phase rebuilt from its message objects.  This file
+pins that — at the array level (batch operations vs ``from_messages``),
+at the simulator level (random programs, static and dynamic, with and
+without fabric events), and on the paper's 672-node t2hx cell via
+golden durations.  ``tests/test_materialize_oracle.py`` pins the job
+layer's arrays against the per-message reference materialiser.
 """
 
 import numpy as np
@@ -16,14 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core.units import MIB
 from repro.ib.subnet_manager import OpenSM
-from repro.mpi.job import Job
+from repro.mpi.job import Job, rank_phase_arrays
 from repro.routing.dfsssp import DfssspRouting
-from repro.sim.batch import MessageBatch, PathPool, flatten_paths, phase_batch
+from repro.sim.batch import MessageBatch, flatten_paths
 from repro.sim.engine import FlowSimulator
 from repro.sim.flows import Message, Phase
 from repro.topology.faults import FabricEvent
 from repro.topology.hyperx import hyperx
-from repro.workloads.patterns import rank_phase_arrays
 
 
 @pytest.fixture(scope="module")
@@ -54,24 +54,6 @@ class TestFlattenPaths:
         assert lens.size == 0 and ptr.tolist() == [0] and flat.size == 0
 
 
-class TestPathPool:
-    @given(paths=paths_strategy, split=st.integers(0, 12))
-    def test_incremental_build_matches_oneshot(self, paths, split):
-        # Adding in two tranches (with an arrays() call in between, which
-        # freezes the first tranche) must equal flattening all at once.
-        pool = PathPool()
-        for p in paths[:split]:
-            pool.add(p)
-        pool.arrays()
-        for p in paths[split:]:
-            pool.add(p)
-        starts, lens, flat = pool.arrays()
-        ref_lens, ref_ptr, ref_flat = flatten_paths(paths)
-        assert lens.tolist() == ref_lens.tolist()
-        assert starts.tolist() == ref_ptr[:-1].tolist()
-        assert flat.tolist() == ref_flat.tolist()
-
-
 # --- batch construction ------------------------------------------------------
 
 def _messages_from(paths, sizes, overhead):
@@ -83,33 +65,6 @@ def _messages_from(paths, sizes, overhead):
 
 
 class TestMessageBatch:
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 49), max_size=6),
-                st.floats(0.0, 1e9),
-            ),
-            max_size=10,
-        ),
-        overhead=st.floats(0.0, 1e-3),
-    )
-    def test_from_pool_identical_to_from_messages(self, data, overhead):
-        paths = [p for p, _ in data]
-        sizes = [s for _, s in data]
-        msgs = _messages_from(paths, sizes, overhead)
-        ref = MessageBatch.from_messages(msgs)
-
-        pool = PathPool()
-        pids = [pool.add(tuple(p)) for p in paths]
-        got = MessageBatch.from_pool(
-            pool, pids, sizes, overhead,
-            [m.src for m in msgs], [m.dst for m in msgs],
-        )
-        for name in ("sizes", "overheads", "src", "dst", "lens", "ptr", "flat"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.tolist() == b.tolist(), name
-            assert a.dtype == b.dtype, name
-
     @given(
         data=st.lists(
             st.tuples(
@@ -128,44 +83,83 @@ class TestMessageBatch:
                 ref[lid] += m.size
         assert np.array_equal(batch.bytes_per_link(20), ref)
 
-    def test_pool_dedups_through_interning(self):
-        pool = PathPool()
-        pid = pool.add((1, 2, 3))
-        batch = MessageBatch.from_pool(
-            pool, [pid, pid, pid], [1.0, 2.0, 3.0], 0.0,
-            [0, 0, 0], [1, 1, 1],
+    @given(
+        parts=st.lists(
+            st.lists(
+                st.tuples(st.lists(st.integers(0, 49), max_size=6),
+                          st.floats(0.0, 1e9)),
+                max_size=5,
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_concat_identical_to_from_messages(self, parts):
+        groups = [
+            _messages_from([p for p, _ in part], [z for _, z in part], 1e-6)
+            for part in parts
+        ]
+        got = MessageBatch.concat(
+            [MessageBatch.from_messages(g) for g in groups]
         )
-        assert len(pool) == 1
-        assert batch.flat.tolist() == [1, 2, 3] * 3
+        ref = MessageBatch.from_messages([m for g in groups for m in g])
+        _assert_same_arrays(got, ref)
+
+    @given(
+        data=st.lists(
+            st.tuples(st.lists(st.integers(0, 49), max_size=6),
+                      st.lists(st.integers(0, 49), max_size=6),
+                      st.booleans()),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_with_paths_identical_to_from_messages(self, data):
+        old = [p for p, _, _ in data]
+        new = [q if swap else p for p, q, swap in data]
+        rows = [i for i, (_, _, swap) in enumerate(data) if swap]
+        sizes = [1.0] * len(data)
+        got = MessageBatch.from_messages(
+            _messages_from(old, sizes, 0.0)
+        ).with_paths(rows, [new[r] for r in rows])
+        ref = MessageBatch.from_messages(_messages_from(new, sizes, 0.0))
+        _assert_same_arrays(got, ref)
+
+    def test_messages_round_trip(self):
+        msgs = _messages_from([(3, 4), (), (7,)], [1.0, 0.0, 2.5], 1e-6)
+        assert MessageBatch.from_messages(msgs).messages() == tuple(msgs)
 
 
-class TestPhaseBatchStaleness:
-    def test_attached_batch_is_used_while_counts_match(self):
+def _assert_same_arrays(got, ref):
+    for name in ("sizes", "overheads", "src", "dst", "lid_index", "lens",
+                 "ptr", "flat"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.tolist() == b.tolist(), name
+        assert a.dtype == b.dtype, name
+
+
+class TestPhaseView:
+    def test_batch_built_phase_keeps_its_batch(self):
+        b = MessageBatch.from_messages([Message(0, 1, 1.0, (5,))])
+        phase = Phase(batch=b)
+        assert phase.batch is b and len(phase) == 1
+        assert phase.messages == (Message(0, 1, 1.0, (5,)),)
+
+    def test_messages_view_is_read_only(self):
+        # A phase holds one representation: its message view cannot be
+        # edited behind the batch's back.
         phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
-        b = MessageBatch.from_messages(phase.messages)
-        phase.batch = b
-        assert phase_batch(phase) is b
-
-    def test_count_mismatch_falls_back_to_messages(self):
-        phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
-        phase.batch = MessageBatch.from_messages(phase.messages)
-        phase.messages.append(Message(1, 0, 2.0, (6,)))
-        fresh = phase_batch(phase)
-        assert fresh is not phase.batch
-        assert fresh.n == 2 and fresh.flat.tolist() == [5, 6]
-
-    def test_invalidate_batch(self):
-        phase = Phase(messages=[Message(0, 1, 1.0, (5,))])
-        phase.batch = MessageBatch.from_messages(phase.messages)
-        phase.invalidate_batch()
-        assert phase.batch is None
+        with pytest.raises(AttributeError):
+            phase.messages.append(Message(1, 0, 2.0, (6,)))
+        assert phase.batch.n == 1 and phase.batch.flat.tolist() == [5]
 
 
 # --- simulator-level equivalence ---------------------------------------------
 
 def _strip_batches(program):
-    for phase in program.phases:
-        phase.invalidate_batch()
+    """The same program, every phase rebuilt from its message objects."""
+    program.phases = [
+        Phase(list(phase.messages), label=phase.label)
+        for phase in program.phases
+    ]
     return program
 
 

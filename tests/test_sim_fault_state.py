@@ -111,8 +111,8 @@ class TestStalePaths:
         msg = prog.phases[0].messages[0]
         dead = msg.path[1]
 
-        def reroute(m):
-            return tuple(fabric.path(m.src, m.dst))
+        def reroute(src, dst, lid_index):
+            return fabric.path(src, dst, lid_index)
 
         sim = FlowSimulator(net, mode="static", reroute=reroute)
         pristine = sim.run(prog).total_time
@@ -129,7 +129,7 @@ class TestStalePaths:
         msg = prog.phases[0].messages[0]
         net.disable_cable(msg.path[1])
         sim = FlowSimulator(
-            net, mode="static", reroute=lambda m: m.path
+            net, mode="static", reroute=lambda src, dst, lid: msg.path
         )
         with pytest.raises(SimulationError, match="not re-swept"):
             sim.run(prog)
@@ -138,7 +138,7 @@ class TestStalePaths:
         net, fabric = env
         prog = _cross_switch_send(net, fabric)
         net.disable_cable(prog.phases[0].messages[0].path[1])
-        sim = FlowSimulator(net, mode="static", reroute=lambda m: None)
+        sim = FlowSimulator(net, mode="static", reroute=lambda src, dst, lid: None)
         with pytest.raises(SimulationError, match="unreachable"):
             sim.run(prog)
 
