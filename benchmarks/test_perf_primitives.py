@@ -34,12 +34,9 @@ from repro.routing.dijkstra import tree_to_destination
 from repro.routing.minhop import MinHopRouting
 from repro.routing.parx import ParxRouting
 from repro.sim.engine import FlowSimulator
-from repro.sim.fairness import (
-    FairnessProblem,
-    max_min_fair_rates,
-    reference_max_min_fair_rates,
-)
+from repro.sim.fairness import FairnessProblem, max_min_fair_rates
 from repro.topology.t2hx import t2hx_hyperx
+from tests.oracles import reference_max_min_fair_rates
 
 #: Required new-vs-reference speedup for the incremental engine cases.
 #: Default 10 (the engine's design target); CI smoke relaxes to 3.
@@ -162,24 +159,10 @@ def faulted_dynamic():
     job = Job(fabric, net.terminals)
     program = job.alltoall(1 * MIB)
     sim = FlowSimulator(net, mode="dynamic")
-
-    counter = [0]
-    orig = FairnessProblem.solve_classes
-
-    def counting(self, counts):
-        counter[0] += 1
-        return orig(self, counts)
-
-    FairnessProblem.solve_classes = counting  # type: ignore[method-assign]
-    try:
-        events = []
-        for i, ph in enumerate(program.phases):
-            counter[0] = 0
-            sim.run_phase(ph)
-            events.append((counter[0], i))
-    finally:
-        FairnessProblem.solve_classes = orig  # type: ignore[method-assign]
-    n_events, best = max(events)
+    result = sim.run(program)
+    n_events, best = max(
+        (pr.solves, i) for i, pr in enumerate(result.phases)
+    )
     return net, sim, program.phases[best], n_events
 
 

@@ -229,6 +229,13 @@ def execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
         "workers": get_sweep_workers(),
         "parallel_sweeps": par["parallel_sweeps"],
     }
+    # Degradations that left the values exact but cost time: a cached
+    # plane that failed to load and was re-routed, and pool jobs that
+    # fell back to the serial sweep.
+    record.setdefault("anomalies", {}).update(
+        cache_rebuilds=stats["load_errors"],
+        serial_fallbacks=par["serial_fallbacks"],
+    )
     record["duration_s"] = time.perf_counter() - t0
     return record
 

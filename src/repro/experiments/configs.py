@@ -134,6 +134,7 @@ _fabric_cache_stats = {
     "disk_stores": 0,    # routed here and written to the on-disk cache
     "routed": 0,         # OpenSM + routing engine actually ran
     "mmap_attaches": 0,  # disk hits that memory-mapped the dense rows
+    "load_errors": 0,    # disk entries that failed to load and were rebuilt
 }
 
 #: Whether disk-cache loads memory-map the dense forwarding matrix
@@ -256,7 +257,9 @@ def build_fabric(
                 mmap_mode="c" if _fabric_cache_mmap else None,
             )
         except Exception:
-            # Stale version / truncated file / foreign plane: rebuild.
+            # Stale version / truncated file / foreign plane: rebuild,
+            # and count it — a rebuild is never a silent cache hit.
+            _fabric_cache_stats["load_errors"] += 1
             disk_path.unlink(missing_ok=True)
             Fabric.rows_sidecar(disk_path).unlink(missing_ok=True)
         else:

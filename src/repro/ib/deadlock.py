@@ -22,7 +22,6 @@ from typing import Mapping, Sequence, Set
 
 from repro.core.errors import DeadlockError
 from repro.ib.cdg import (
-    addition_creates_cycle,
     channel_dependencies,
     find_dependency_cycle,
 )
@@ -198,8 +197,9 @@ def assign_layers(
     Lanes maintain a dynamic topological order (:class:`_Lane`), so each
     fit test costs a window reorder instead of a full-lane DFS; the
     accept/reject verdicts — and hence the greedy first-fit result — are
-    identical to :func:`reference_assign_layers`, which the equivalence
-    suite checks.
+    identical to the original full-DFS first-fit (the oracle
+    ``reference_assign_layers`` in ``tests/oracles.py``), which the
+    equivalence suite checks.
     """
     if max_vls < 1:
         raise DeadlockError(f"need at least one virtual lane, got {max_vls}")
@@ -233,45 +233,6 @@ def assign_layers(
                 "a single destination tree should never self-deadlock"
             )
         layers.append(lane)
-        vl_of_dlid[dlid] = len(layers) - 1
-
-    return vl_of_dlid, max(1, len(layers))
-
-
-def reference_assign_layers(
-    dep_edges_by_dest: Mapping[int, Set[tuple[int, int]]],
-    max_vls: int = 8,
-) -> tuple[dict[int, int], int]:
-    """The original first-fit layering (full DFS cycle test per fit).
-
-    Kept as the executable specification :func:`assign_layers` is
-    equivalence-tested against (``tests/test_routing_arrays.py``).
-    """
-    if max_vls < 1:
-        raise DeadlockError(f"need at least one virtual lane, got {max_vls}")
-
-    layers: list[dict[int, set[int]]] = []  # per-lane CDG adjacency
-    vl_of_dlid: dict[int, int] = {}
-
-    for dlid in sorted(dep_edges_by_dest):
-        deps = dep_edges_by_dest[dlid]
-        placed = False
-        for vl, adj in enumerate(layers):
-            if not addition_creates_cycle(adj, deps):
-                _merge(adj, deps)
-                vl_of_dlid[dlid] = vl
-                placed = True
-                break
-        if placed:
-            continue
-        if len(layers) >= max_vls:
-            raise DeadlockError(
-                f"destination lid {dlid} fits no lane; routing needs more "
-                f"than the {max_vls} available virtual lanes"
-            )
-        adj: dict[int, set[int]] = {}
-        _merge(adj, deps)
-        layers.append(adj)
         vl_of_dlid[dlid] = len(layers) - 1
 
     return vl_of_dlid, max(1, len(layers))
@@ -325,9 +286,3 @@ def verify_deadlock_free(
 ) -> bool:
     """Boolean convenience wrapper around :func:`find_credit_loop`."""
     return find_credit_loop(net, dest_paths, vl_of_dlid) is None
-
-
-def _merge(adj: dict[int, set[int]], deps: Set[tuple[int, int]]) -> None:
-    for a, b in deps:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set())

@@ -56,6 +56,22 @@ def csr_offsets(lens: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], lens.cumsum())).astype(np.intp)
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in a non-empty sorted
+    array (one run costs a single compare)."""
+    if keys[0] == keys[-1]:
+        return np.zeros(1, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def spread(values: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """``values[i]`` repeated over run ``i`` of ``run_starts``' runs (a
+    scalar when there is one run; it broadcasts the same)."""
+    if starts.size == 1:
+        return values[0]
+    return values.repeat(np.concatenate((starts[1:], [size])) - starts)
+
+
 class MessageBatch:
     """A phase's messages as parallel flat arrays (see module docs)."""
 

@@ -15,6 +15,18 @@ fairly; the phase ends when the last message lands.  Two fidelity modes:
 Both modes add the constant latency part (software overhead + per-hop
 pipeline) on top of the serialisation time.
 
+Phases are independent until the fabric changes, so :meth:`FlowSimulator.run`
+works on *segments*: maximal runs of phases with no timeline event
+between them.  A segment's phases are simulated together, in chunks of
+at most ``_CHUNK_MESSAGES`` messages, as the *blocks* of one
+block-diagonal :class:`~repro.sim.fairness.FairnessProblem` — one block
+per phase.  Every block runs the arithmetic it would run alone (in
+dynamic mode the blocks' event loops step in lockstep, each with its
+own clock and valve count), so results are bit-identical to simulating
+the phases one at a time while numpy's per-call cost is paid once per
+step, not once per phase.  :meth:`FlowSimulator.run_phase` is a
+one-block segment.
+
 The simulator reads link capacities through a live
 :class:`~repro.topology.state.FabricState` view, refreshed at every
 phase boundary, so fault injection after construction is honoured.  A
@@ -33,7 +45,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.sim.batch import MessageBatch
+from repro.sim.batch import MessageBatch, run_starts, spread
 from repro.sim.fairness import FairnessProblem
 from repro.sim.flows import Message, Phase, Program
 from repro.sim.latency import QDR_LATENCY, LatencyModel
@@ -44,6 +56,10 @@ from repro.topology.state import FabricState
 #: Dynamic-mode safety valve: after this many rate recomputations per
 #: phase the remaining flows are finished at their current rates.
 _MAX_EVENTS_PER_PHASE = 2000
+
+#: Most messages one block-diagonal fairness problem holds; longer
+#: segments run as several problems, which keeps peak memory flat.
+_CHUNK_MESSAGES = 8192
 
 #: Called after the simulator applies fabric events before a phase:
 #: ``(events, phase_index) -> report or None``.  The usual hook is an SM
@@ -84,6 +100,10 @@ class PhaseResult:
     #: static mode and whenever the event loop converged).  Non-zero
     #: means the phase's late completions are approximate.
     events_truncated: int = 0
+    #: Rate recomputations (fairness solves) the phase took: 1 in static
+    #: mode, one per completion event (plus the valve's) in dynamic mode.
+    solves: int = 0
+
 
 
 @dataclass(slots=True)
@@ -179,93 +199,47 @@ class FlowSimulator:
         ``i`` is simulated (events past the last phase never fire); each
         event fires at most once per simulator, so repeated ``run`` calls
         do not compound degrades.
+
+        The phases between two firings form a *segment*: its events
+        fire and the hook runs, the whole segment is healed, and then
+        its phases are simulated as blocks of one fairness problem (see
+        :meth:`_run_segment`).
         """
         result = SimResult(label=program.label, total_time=0.0)
         events_before = len(self.events_applied)
         rerouted_before = self.messages_rerouted
-        for i, phase in enumerate(program.phases):
-            fired = self._apply_events(i)
+        phases = program.phases
+        start = 0
+        while start < len(phases):
+            fired = self._apply_events(start)
             if fired and self.on_fabric_event is not None:
-                report = self.on_fabric_event(fired, i)
+                report = self.on_fabric_event(fired, start)
                 if report is not None:
                     self.reroute_reports.append(report)
-            phase = self._heal_phase(phase)
-            pr = self.run_phase(phase, collect_messages=collect_messages)
-            result.phases.append(pr)
+            stop = min(
+                [e.phase for i, e in enumerate(self.timeline)
+                 if i not in self._fired] + [len(phases)]
+            )
+            segment = [self._heal_phase(ph) for ph in phases[start:stop]]
+            result.phases += self._run_segment(segment, collect_messages)
+            start = stop
+        for i, pr in enumerate(result.phases):
             result.total_time += pr.duration
             result.events_truncated += pr.events_truncated
-            self.events_truncated += pr.events_truncated
-            if i + 1 < len(program.phases):
+            if i + 1 < len(phases):
                 result.total_time += program.compute_between_phases
+        self.events_truncated += result.events_truncated
         result.events_applied = len(self.events_applied) - events_before
         result.messages_rerouted = self.messages_rerouted - rerouted_before
         return result
 
     def run_phase(self, phase: Phase, collect_messages: bool = False) -> PhaseResult:
-        """Execute one synchronised round of messages.
+        """Execute one synchronised round of messages (a one-block segment).
 
         Works on the phase's :class:`~repro.sim.batch.MessageBatch`
         arrays only; no message objects are built.
         """
-        batch = phase.batch
-        if batch.n == 0:
-            return PhaseResult(
-                label=phase.label,
-                duration=0.0,
-                num_messages=0,
-                bytes_moved=0.0,
-                transfer_time=0.0,
-                message_times=[] if collect_messages else None,
-                link_ids=np.empty(0, dtype=np.intp),
-                link_busy=np.empty(0),
-            )
-        # Every mutation — including direct ``link.capacity = x`` field
-        # writes, which bump the version via the Link setters — moves the
-        # version counter, so the cheap version check suffices here.
-        self.state.refresh()
-
-        lens, ptr, flat = batch.lens, batch.ptr, batch.flat
-        sizes = batch.sizes
-        self._check_paths(phase)
-
-        # Switch-switch hops per message: cumsum-difference over the flat
-        # link array — one pass, no per-path Python loop or cache.
-        swsw = self._switch_switch_mask()
-        hop_csum = np.concatenate(
-            ([0], swsw[flat].cumsum())
-        ).astype(np.intp)
-        hops = hop_csum[ptr[1:]] - hop_csum[ptr[:-1]]
-        const = self.latency.constant_times(hops, batch.overheads)
-
-        caps = self.state.capacities
-        problem = FairnessProblem(None, caps, prebuilt_flat=(lens, flat))
-        truncated = 0
-        if self.mode == "static":
-            finish = self._static_finish(batch, problem)
-        else:
-            finish, truncated = self._dynamic_finish(batch, problem)
-
-        # Per-phase busy-seconds snapshot: bytes over each link divided
-        # by the capacity in effect *now*, while the phase's bytes move.
-        # ``_check_paths`` already refused flows over zero-capacity
-        # links, so every touched link divides by a positive capacity.
-        bytes_on = batch.bytes_per_link(len(caps))
-        touched = np.flatnonzero(bytes_on)
-        busy = bytes_on[touched] / caps[touched]
-
-        times = const + finish
-        duration = float(times.max())
-        return PhaseResult(
-            label=phase.label,
-            duration=duration,
-            num_messages=batch.n,
-            bytes_moved=float(sizes.sum()),
-            transfer_time=float(finish.max()),
-            message_times=times.tolist() if collect_messages else None,
-            link_ids=touched,
-            link_busy=busy,
-            events_truncated=truncated,
-        )
+        return self._run_segment([phase], collect_messages)[0]
 
     def link_utilization(
         self, program: Program, result: SimResult | None = None
@@ -444,6 +418,123 @@ class FlowSimulator:
             )
 
     # --- internals ---------------------------------------------------------------
+    def _run_segment(
+        self, phases: Sequence[Phase], collect_messages: bool
+    ) -> list[PhaseResult]:
+        """Simulate phases that no fabric event separates.
+
+        Phases of a segment see one fabric, so they are independent
+        fairness problems: each runs in chunks of at most
+        ``_CHUNK_MESSAGES`` messages, one block per phase, through one
+        block-diagonal :class:`~repro.sim.fairness.FairnessProblem`.
+        Every block runs the arithmetic it would run alone, so results
+        are bit-identical to simulating the phases one at a time.
+        """
+        out: list[PhaseResult] = []
+        chunk: list[Phase] = []
+        size = 0
+        for phase in phases:
+            if chunk and size + phase.batch.n > _CHUNK_MESSAGES:
+                out += self._run_blocks(chunk, collect_messages)
+                chunk, size = [], 0
+            chunk.append(phase)
+            size += phase.batch.n
+        if chunk:
+            out += self._run_blocks(chunk, collect_messages)
+        return out
+
+    def _run_blocks(
+        self, phases: list[Phase], collect_messages: bool
+    ) -> list[PhaseResult]:
+        """One fairness problem for ``phases``, one block per non-empty phase.
+
+        Errors surface as if the phases ran in order: a phase's stale
+        or starved path is raised only after every earlier phase ran
+        clean (an earlier phase's own error wins).
+        """
+        live = [ph for ph in phases if ph.batch.n]
+        if live:
+            # Every mutation — including direct ``link.capacity = x``
+            # field writes, which bump the version via the Link setters —
+            # moves the version counter, so the cheap check suffices.
+            self.state.refresh()
+            for j, phase in enumerate(live):
+                try:
+                    self._check_paths(phase)
+                except SimulationError:
+                    self._run_blocks(live[:j], collect_messages)
+                    raise
+            batch = MessageBatch.concat([ph.batch for ph in live])
+            block = np.repeat(np.arange(len(live)), [ph.batch.n for ph in live])
+            const = self._constant_times(batch)
+            caps = self.state.capacities
+            problem = FairnessProblem(
+                None, caps, prebuilt_flat=(batch.lens, batch.flat),
+                blocks=block,
+            )
+            if self.mode == "static":
+                finish = self._static_finish(batch, problem)
+                truncated = np.zeros(len(live), dtype=np.intp)
+                solves = np.ones(len(live), dtype=np.intp)
+            else:
+                finish, truncated, solves = self._dynamic_finish(
+                    batch, problem, block, len(live)
+                )
+            times = const + finish
+            ends = np.cumsum([ph.batch.n for ph in live]).tolist()
+        out: list[PhaseResult] = []
+        b = 0
+        for phase in phases:
+            n = phase.batch.n
+            if n == 0:
+                out.append(PhaseResult(
+                    label=phase.label,
+                    duration=0.0,
+                    num_messages=0,
+                    bytes_moved=0.0,
+                    transfer_time=0.0,
+                    message_times=[] if collect_messages else None,
+                    link_ids=np.empty(0, dtype=np.intp),
+                    link_busy=np.empty(0),
+                ))
+                continue
+            s, e = ends[b] - n, ends[b]
+            # Per-phase busy-seconds snapshot: bytes over each link
+            # divided by the capacity in effect *now*, while the phase's
+            # bytes move.  ``_check_paths`` already refused flows over
+            # zero-capacity links, so every touched link divides by a
+            # positive capacity.
+            bytes_on = phase.batch.bytes_per_link(len(caps))
+            touched = np.flatnonzero(bytes_on)
+            out.append(PhaseResult(
+                label=phase.label,
+                duration=float(times[s:e].max()),
+                num_messages=n,
+                bytes_moved=float(phase.batch.sizes.sum()),
+                transfer_time=float(finish[s:e].max()),
+                message_times=(
+                    times[s:e].tolist() if collect_messages else None
+                ),
+                link_ids=touched,
+                link_busy=bytes_on[touched] / caps[touched],
+                events_truncated=int(truncated[b]),
+                solves=int(solves[b]),
+            ))
+            b += 1
+        return out
+
+    def _constant_times(self, batch: MessageBatch) -> np.ndarray:
+        """Latency floor per message: software overhead + per-hop pipeline.
+
+        Switch-switch hops come from a cumsum-difference over the flat
+        link array — one pass, no per-path Python loop.
+        """
+        hop_csum = np.concatenate(
+            ([0], self._switch_switch_mask()[batch.flat].cumsum())
+        ).astype(np.intp)
+        hops = hop_csum[batch.ptr[1:]] - hop_csum[batch.ptr[:-1]]
+        return self.latency.constant_times(hops, batch.overheads)
+
     def _switch_switch_mask(self) -> np.ndarray:
         """Per-link-id bool array: link connects two switches.
 
@@ -467,7 +558,11 @@ class FlowSimulator:
 
         A flow with max-min rate 0 has infinite time-to-finish; the old
         behaviour mapped that to 0.0, so starved flows "completed"
-        instantly — the exact opposite of the truth.
+        instantly — the exact opposite of the truth.  ``idx`` is in
+        flow order, so the first bad flow is in the lowest bad block.
+        (Paths over dead or zero-capacity links never get here, so a
+        bad flow is a payload-carrying link-less one, which every block
+        reaches on the same lockstep step.)
         """
         first = int(idx[int(np.flatnonzero(bad)[0])])
         raise SimulationError(
@@ -489,51 +584,72 @@ class FlowSimulator:
         return finish
 
     def _dynamic_finish(
-        self, batch: MessageBatch, problem: FairnessProblem
-    ) -> tuple[np.ndarray, int]:
-        """Finish times plus the count of safety-valve-truncated flows."""
+        self,
+        batch: MessageBatch,
+        problem: FairnessProblem,
+        block: np.ndarray,
+        n_blocks: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Finish times, plus per block the valve-truncated flows and the
+        rate recomputations.
+
+        Every block's event loop steps in lockstep: one
+        :meth:`~repro.sim.fairness.FairnessProblem.solve_classes` call
+        re-rates every block that still has flows, each block advances
+        its own clock by its own next completion (a segmented min), and
+        the ``_MAX_EVENTS_PER_PHASE`` valve counts per block — all
+        blocks start together, so they reach it on the same step.
+        """
         sizes = batch.sizes
-        n = batch.n
-        finish = np.zeros(n)
+        finish = np.zeros(batch.n)
         # The loop state lives in arrays aligned with the *active* flow
-        # subset (``idx`` maps back to message order) and shrinks as
-        # flows complete; the per-class multiplicities are maintained
-        # incrementally, so one event is a handful of O(active) numpy
-        # ops plus the class-level solve.
+        # subset (``idx`` maps back to message order, ``blk`` to the
+        # block) and shrinks as flows complete; the per-class
+        # multiplicities are maintained incrementally, so one step is a
+        # handful of O(active) numpy ops plus the class-level solve.
         idx = np.flatnonzero(sizes > 0)
         rem = sizes[idx]
         tol = 1e-6 * rem + 1e-9
         fc = problem.flow_class[idx]
+        blk = block[idx]
         linked = fc >= 0
         all_linked = bool(linked.all())
         counts = np.bincount(
             fc if all_linked else fc[linked], minlength=problem.n_classes
         ).astype(float)
-        now = 0.0
+        now = np.zeros(n_blocks)
+        truncated = np.zeros(n_blocks, dtype=np.intp)
+        # Solves a flow's block had run when the flow left the loop (a
+        # block takes part in every step until its last flow leaves).
+        left_at = np.zeros(batch.n, dtype=np.intp)
 
-        def subset_rates() -> np.ndarray:
+        def step_rates() -> tuple[np.ndarray, np.ndarray]:
             crates = problem.solve_classes(counts)
             if all_linked:
-                return crates[fc]
-            return np.where(linked, crates[np.maximum(fc, 0)], np.inf)
+                rates = crates[fc]
+            else:
+                rates = np.where(linked, crates[np.maximum(fc, 0)], np.inf)
+            ttf = rem / rates
+            if not np.isfinite(ttf).all():
+                self._raise_if_starved(batch, idx, ~np.isfinite(ttf))
+            return rates, ttf
 
         with np.errstate(invalid="ignore", divide="ignore"):
-            for _ in range(_MAX_EVENTS_PER_PHASE):
+            for step in range(1, _MAX_EVENTS_PER_PHASE + 1):
                 if idx.size == 0:
-                    return finish, 0
-                rates = subset_rates()
-                ttf = rem / rates
-                bad = ~np.isfinite(ttf)
-                if bad.any():
-                    self._raise_if_starved(batch, idx, bad)
-                dt = float(ttf.min())
-                now += dt
-                rem = rem - rates * dt
+                    break
+                starts = run_starts(blk)
+                rates, ttf = step_rates()
+                dt = np.minimum.reduceat(ttf, starts)
+                now[blk[starts]] += dt
+                rem = rem - rates * spread(dt, starts, blk.size)
                 # Everything within a relative hair of zero lands now;
                 # the tolerance batches symmetric flows into one event.
                 done = rem <= tol
                 if done.any():
-                    finish[idx[done]] = now
+                    gone = idx[done]
+                    finish[gone] = now[blk[done]]
+                    left_at[gone] = step
                     dfc = fc[done]
                     counts -= np.bincount(
                         dfc if all_linked else dfc[dfc >= 0],
@@ -544,17 +660,18 @@ class FlowSimulator:
                     rem = rem[keep]
                     tol = tol[keep]
                     fc = fc[keep]
+                    blk = blk[keep]
                     if not all_linked:
                         linked = linked[keep]
                         all_linked = bool(linked.all())
-            # Safety valve: finish stragglers at their current rates,
-            # and count them so callers can see the approximation.
-            truncated = int(idx.size)
-            if idx.size:
-                rates = subset_rates()
-                ttf = rem / rates
-                bad = ~np.isfinite(ttf)
-                if bad.any():
-                    self._raise_if_starved(batch, idx, bad)
-                finish[idx] = now + ttf
-        return finish, truncated
+            else:
+                # Safety valve: finish stragglers at their current
+                # rates, and count them so callers can see the
+                # approximation.
+                if idx.size:
+                    truncated = np.bincount(blk, minlength=n_blocks)
+                    finish[idx] = now[blk] + step_rates()[1]
+                    left_at[idx] = _MAX_EVENTS_PER_PHASE + 1
+        solves = np.zeros(n_blocks, dtype=np.intp)
+        np.maximum.at(solves, block, left_at)
+        return finish, truncated, solves

@@ -9,21 +9,34 @@ Two entry points:
 
 * :func:`max_min_fair_rates` — the one-shot call every routing/linter
   consumer uses; builds a :class:`FairnessProblem` and solves it once.
-* :class:`FairnessProblem` — the reusable engine behind the dynamic
-  flow simulator.  Construction compacts the link-id space, deduplicates
+* :class:`FairnessProblem` — the reusable engine behind the flow
+  simulator.  Construction compacts the link-id space, deduplicates
   flows with identical link multisets into weighted *flow classes*, and
   lays the link x class incidence out as flat numpy index arrays —
-  once.  :meth:`FairnessProblem.rates` then re-solves under any boolean
-  activity mask without rebuilding anything, which is what makes exact
-  ``dynamic``-mode simulation of full-machine all-to-alls tractable
-  (the event loop calls it once per completion event).
+  once.  :meth:`FairnessProblem.rates` and
+  :meth:`FairnessProblem.solve_classes` then re-solve under any activity
+  mask or class weights without rebuilding anything, which is what
+  makes exact ``dynamic``-mode simulation of full-machine all-to-alls
+  tractable (the event loop solves once per completion event).
 
-The incremental kernel is bit-for-bit equivalent to the original
-scipy-CSR implementation (kept as
-:func:`reference_max_min_fair_rates`, the executable spec the
-equivalence tests and perf baselines compare against): link occupancies
-are exact small-integer sums however they are accumulated, so the
-water levels, saturation order, and freezing order coincide exactly.
+**Blocks.**  One problem may hold many independent sub-problems, its
+*blocks* (the simulator makes one block per phase and solves every
+phase between two fabric events as one problem).  Blocks never share a
+compact link — a link id crossed in two blocks is two compact links —
+so the problem is block-diagonal.  Every block runs, in lockstep with
+the others, exactly the arithmetic it runs alone: the same compact link
+order, the same class order, the same water levels and freezing order,
+the same bottleneck hint and the same triangular solve.  Rates are
+therefore bit-identical to solving each block as its own problem, while
+numpy's fixed per-call cost is paid once per lockstep step instead of
+once per block.
+
+The kernel agrees bit-for-bit with the original scipy-CSR
+implementation (the oracle ``reference_max_min_fair_rates`` in
+``tests/oracles.py``, which the equivalence tests compare against):
+link occupancies are exact small-integer sums however they are
+accumulated, so the water levels, saturation order, and freezing order
+coincide exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.errors import SimulationError
+from repro.sim.batch import csr_offsets, flatten_paths, run_starts, spread
 
 #: Relative tolerance for "link is saturated".
 _EPS = 1e-9
@@ -65,22 +79,20 @@ class _Hint(NamedTuple):
     conditions; since the max-min allocation is unique, any verified
     solution is exact, and a failed verification just falls back to the
     full water-fill.
+
+    Tiers are numbered block after block, each block's contiguous;
+    each block's system is its own.
     """
 
-    tiers: np.ndarray  # compact link id per tier, in freezing order
+    tiers: np.ndarray  # compact link id per tier, each block in freezing order
+    tier_block: np.ndarray  # block per tier
+    caps_tiers: np.ndarray  # capacity of each tier's link
     toc: np.ndarray  # tier index per class, -1 = not covered
     covered: np.ndarray  # bool per class: toc >= 0
     all_covered: bool  # every class has a tier (skips the mask check)
-    pair_idx: np.ndarray  # toc[c] * T + tier(l) per covered (c, l) crossing
-    pair_class: np.ndarray  # class id per covered crossing
+    pair_class: np.ndarray  # class id per covered (c, l) crossing
     pair_row: np.ndarray  # toc[c] per covered crossing
     pair_col: np.ndarray  # tier(l) per covered crossing
-    diag_idx: np.ndarray  # indices of crossings with row == col
-    diag_col: np.ndarray  # pair_col[diag_idx]
-    off_idx: np.ndarray  # indices of crossings with row != col
-    off_row: np.ndarray  # pair_row[off_idx]
-    off_col: np.ndarray  # pair_col[off_idx]
-    caps_tiers: np.ndarray  # capacity of each tier's link
 
 
 def _segment_gather(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -89,6 +101,8 @@ def _segment_gather(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     The standard vectorised ragged-segment gather: no Python loop, one
     output element per gathered item.
     """
+    if ids.size == 1:
+        return np.arange(ptr[ids[0]], ptr[ids[0] + 1])
     starts = ptr[ids]
     lens = ptr[ids + 1] - starts
     total = int(lens.sum())
@@ -98,6 +112,92 @@ def _segment_gather(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     seg_ends = lens.cumsum()
     within = np.arange(total) - np.repeat(seg_ends - lens, lens)
     return np.repeat(starts, lens) + within
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integers.
+
+    An LSD radix sort over 16-bit digits: numpy radix-sorts 16-bit keys,
+    which is several times faster than its stable sort of wide ones.
+    """
+    order = np.arange(keys.size)
+    top = int(keys.max()) if keys.size else 0
+    shift = 0
+    while True:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+        if top >> shift == 0:
+            return order
+
+
+def _compact_links(
+    block: np.ndarray, lens: np.ndarray, flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact ``(block, link id)`` keys: block after block, link-id
+    order within a block.
+
+    Returns the link id and block of every compact link and, per
+    crossing, its block-local compact id.  A dense mark and a rank
+    gather do it without a sort whenever the key space is small.
+    """
+    nnz_block = np.repeat(block, lens)
+    width = int(flat.max()) + 1 if flat.size else 1
+    key = nnz_block * width + flat
+    n_blocks = int(block[-1]) + 1 if block.size else 1
+    if n_blocks * width <= 8 * key.size + 4096:
+        mark = np.zeros(n_blocks * width, dtype=bool)
+        mark[key] = True
+        used = mark.nonzero()[0]
+        rank = np.empty(mark.size, dtype=np.intp)
+        rank[used] = np.arange(used.size)
+        compact = rank[key]
+    else:
+        used, compact = np.unique(key, return_inverse=True)
+    link_block = used // width
+    start = link_block.searchsorted(np.arange(n_blocks))
+    return used % width, link_block, compact - start[nnz_block]
+
+
+def _dedup_flows(
+    block: np.ndarray, lens: np.ndarray, local: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the flows of each block with identical link multisets.
+
+    Every flow's block-local links are sorted into a fixed-width row,
+    padded with the word's largest value (the byte pattern of -1), and
+    the rows are deduplicated as opaque byte strings.  Column 0 holds
+    the block big-endian, so byte order sorts blocks numerically and,
+    within a block, classes keep the byte order of their block-local
+    ids — the order a block has alone.  Ids below 0xFFFF order the same
+    as 2-byte words as they do as 8-byte words, so small blocks dedup on
+    the narrow, cheaper keys.
+
+    Returns the class per flow (-1 for link-less flows) and, per class,
+    its path length, block and sorted block-local links (flattened).
+    """
+    flow_class = np.full(lens.size, -1, dtype=np.intp)
+    nonempty = lens.nonzero()[0]
+    if not nonempty.size:
+        empty = np.empty(0, dtype=np.intp)
+        return flow_class, empty, empty, empty
+    lmax = int(lens.max())
+    narrow = max(int(local.max()) + 1, int(block[-1]) + 1) < 0xFFFF
+    word = np.dtype(np.uint16 if narrow else np.uint64)
+    rows = np.full((lens.size, lmax + 1), np.iinfo(word).max, dtype=word)
+    rows[:, 1:][np.arange(lmax) < lens[:, None]] = local
+    rows = rows[nonempty]
+    rows[:, 1:].sort(axis=1)
+    rows[:, 0] = block[nonempty].astype(word.newbyteorder(">")).view(word)
+    key = rows.view(np.dtype((np.void, word.itemsize * (lmax + 1)))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    flow_class[nonempty] = inverse
+    rep_lens = lens[nonempty[first]].astype(np.intp)
+    class_links = rows[first, 1:][np.arange(lmax) < rep_lens[:, None]]
+    return (
+        flow_class, rep_lens, block[nonempty[first]],
+        class_links.astype(np.intp),
+    )
 
 
 class FairnessProblem:
@@ -114,14 +214,22 @@ class FairnessProblem:
     link_capacity:
         Capacity per link id (mapping or dense indexable).  Only the
         links actually crossed are read; each must be positive.
+    blocks:
+        Optional non-decreasing block index per flow (default: one
+        block).  Blocks are independent problems solved side by side
+        (see the module docs); a link id shared by two blocks is two
+        separate links.
 
     The constructor does all O(total links) work exactly once:
 
-    * **compaction** — ``np.unique`` maps the sparse global link-id
-      space onto ``0..n_links-1``;
-    * **flow-class dedup** — flows with identical link multisets share
-      one column; the solver weighs each class by its active
-      multiplicity instead of materialising duplicate columns;
+    * **compaction** — the sparse ``(block, link id)`` space maps onto
+      ``0..n_links-1``, block after block and in link-id order within a
+      block, through a dense mark and a rank gather (no sort);
+    * **flow-class dedup** — flows with identical link multisets in one
+      block share one column; the solver weighs each class by its
+      active multiplicity instead of materialising duplicate columns.
+      Classes are ordered by (block, sorted block-local link ids), so a
+      block's classes come in the order they would have alone;
     * **incidence layout** — the link x class incidence and its
       transpose are stored as flat ``(ptr, indices)`` index arrays, so
       the water-filling loop is pure ``bincount``/gather numpy with no
@@ -132,9 +240,11 @@ class FairnessProblem:
     """
 
     __slots__ = (
-        "n_flows", "n_links", "n_classes", "_flow_class", "_has_links",
-        "_caps", "_caps_tol", "_class_ptr", "_class_links", "_nnz_class",
-        "_link_ptr", "_link_classes", "_full_counts", "_hint",
+        "n_flows", "n_links", "n_classes", "n_blocks", "_flow_class",
+        "_has_links", "_caps", "_caps_tol", "_class_ptr", "_class_links",
+        "_nnz_class", "_link_ptr", "_link_classes", "_full_counts",
+        "_link_block", "_class_block", "_toc", "_tier_of_link", "_hint",
+        "_block_edges",
     )
 
     def __init__(
@@ -143,6 +253,7 @@ class FairnessProblem:
         link_capacity: Mapping[int, float] | Sequence[float] | np.ndarray,
         *,
         prebuilt_flat: tuple[np.ndarray, np.ndarray] | None = None,
+        blocks: np.ndarray | None = None,
     ) -> None:
         if prebuilt_flat is not None:
             # Caller already flattened the paths (message batches carry
@@ -154,111 +265,61 @@ class FairnessProblem:
                 raise SimulationError(
                     "FairnessProblem needs flow_links or prebuilt_flat"
                 )
-            from repro.sim.batch import flatten_paths
-
             n_flows = len(flow_links)
             lens, _, flat = flatten_paths(flow_links)
         self.n_flows = n_flows
         self._has_links = lens > 0
+        if blocks is None:
+            block = np.zeros(n_flows, dtype=np.intp)
+        else:
+            block = np.asarray(blocks, dtype=np.intp)
+        n_blocks = int(block[-1]) + 1 if n_flows else 1
+        self.n_blocks = n_blocks
+        self._block_edges = np.arange(n_blocks + 1)
 
-        # Link-id compaction: the global id space is sparse (a phase
-        # touches a fraction of the fabric), the solver's isn't.
-        used, flat_c = np.unique(flat, return_inverse=True)
-        n_links = len(used)
+        # Link-id compaction per block: the global id space is sparse (a
+        # phase touches a fraction of the fabric), the solver's isn't.
+        link_ids, self._link_block, local = _compact_links(block, lens, flat)
+        n_links = int(link_ids.size)
         self.n_links = n_links
         if isinstance(link_capacity, Mapping):
             caps = np.array(
-                [link_capacity[lid] for lid in used.tolist()], dtype=float
+                [link_capacity[lid] for lid in link_ids.tolist()], dtype=float
             )
         else:
-            caps = np.asarray(link_capacity, dtype=float)[used]
+            caps = np.asarray(link_capacity, dtype=float)[link_ids]
         if np.any(caps <= 0):
             raise SimulationError("links must have positive capacity")
         self._caps = caps
         self._caps_tol = caps * (1.0 + _EPS)
         self._hint: _Hint | None = None
 
-        # Canonicalise every flow (sort its links) so identical link
-        # multisets compare equal, then dedup into classes.  The lexsort
-        # gives all flows' sorted segments in one shot.
-        ends = lens.cumsum()
-        starts = ends - lens
-        total = int(ends[-1]) if n_flows else 0
-        flow_ids = np.repeat(np.arange(n_flows), lens)
-        order = np.lexsort((flat_c, flow_ids))
-        sorted_links = np.ascontiguousarray(flat_c[order])
-
-        flow_class = np.full(n_flows, -1, dtype=np.intp)
-        nonempty = np.flatnonzero(lens)
-        lmax = int(lens.max()) if n_flows else 0
-        if nonempty.size and n_flows * lmax <= 5_000_000:
-            # Vectorised dedup: pad every sorted segment to a fixed-width
-            # row (compacted ids are >= 0, so the -1 filler cannot
-            # collide) and unique the rows as opaque byte strings.
-            pad = np.full((n_flows, lmax), -1, dtype=sorted_links.dtype)
-            within = np.arange(total, dtype=np.intp) - np.repeat(
-                starts, lens
-            )
-            pad[flow_ids, within] = sorted_links
-            rows = np.ascontiguousarray(pad[nonempty])
-            key = rows.view(
-                np.dtype((np.void, rows.dtype.itemsize * lmax))
-            ).ravel()
-            _, first, inverse = np.unique(
-                key, return_index=True, return_inverse=True
-            )
-            flow_class[nonempty] = inverse
-            reps = nonempty[first]
-            rep_lens = lens[reps].astype(np.intp)
-            rep_starts_arr = starts[reps].astype(np.intp)
-            n_classes = int(first.size)
-        else:
-            # Fallback for degenerate shapes (a few very long paths)
-            # where the padded matrix would not be worth its memory.
-            key_to_class: dict[bytes, int] = {}
-            rep_start: list[int] = []
-            rep_len: list[int] = []
-            for f in nonempty.tolist():
-                s, e = int(starts[f]), int(ends[f])
-                bkey = sorted_links[s:e].tobytes()
-                c = key_to_class.get(bkey)
-                if c is None:
-                    c = len(key_to_class)
-                    key_to_class[bkey] = c
-                    rep_start.append(s)
-                    rep_len.append(e - s)
-                flow_class[f] = c
-            n_classes = len(key_to_class)
-            rep_lens = np.asarray(rep_len, dtype=np.intp)
-            rep_starts_arr = np.asarray(rep_start, dtype=np.intp)
+        flow_class, rep_lens, class_block, class_links = _dedup_flows(
+            block, lens, local
+        )
+        class_links += np.repeat(
+            self._link_block.searchsorted(class_block), rep_lens
+        )
+        n_classes = int(rep_lens.size)
         self.n_classes = n_classes
         self._flow_class = flow_class
+        self._class_block = class_block
 
         # Incidence (class -> links) and transpose (link -> classes) as
         # flat index arrays.
-        self._class_ptr = np.concatenate(
-            ([0], rep_lens.cumsum())
-        ).astype(np.intp)
-        if n_classes:
-            within = (
-                np.arange(int(rep_lens.sum()))
-                - np.repeat(rep_lens.cumsum() - rep_lens, rep_lens)
-            )
-            self._class_links = sorted_links[
-                np.repeat(rep_starts_arr, rep_lens) + within
-            ]
-        else:
-            self._class_links = np.empty(0, dtype=np.intp)
+        self._class_ptr = csr_offsets(rep_lens)
+        self._class_links = class_links
         self._nnz_class = np.repeat(np.arange(n_classes), rep_lens)
-        t_order = np.argsort(self._class_links, kind="stable")
+        t_order = _stable_argsort(class_links)
         self._link_classes = self._nnz_class[t_order]
-        self._link_ptr = np.concatenate(
-            ([0], np.bincount(self._class_links, minlength=n_links).cumsum())
-        ).astype(np.intp)
-
+        self._link_ptr = csr_offsets(np.bincount(class_links, minlength=n_links))
         self._full_counts = np.bincount(
             flow_class[self._has_links], minlength=n_classes
         ).astype(float)
+        # Bottleneck structure behind the hint, block-local: tier per
+        # class and per link, -1 where none.
+        self._toc = np.full(n_classes, -1, dtype=np.intp)
+        self._tier_of_link = np.full(n_links, -1, dtype=np.intp)
 
     # --- solving ----------------------------------------------------------
     def counts(self, active: np.ndarray | None = None) -> np.ndarray:
@@ -279,33 +340,21 @@ class FairnessProblem:
         sub-problem restricted to the active flows — only the per-class
         weights change, the incidence arrays are reused as-is.
 
-        Masked calls additionally reuse the *bottleneck structure* of
-        the previous masked solve (see :class:`_Hint`): when the same
-        links stay the bottlenecks — the overwhelmingly common case as a
-        dynamic phase drains — the new rates come from a tiny triangular
-        solve plus an O(nnz) optimality check instead of a full
-        water-fill.  The fallback is automatic and the result is exact
-        either way (max-min allocations are unique).
+        Masked calls go through :meth:`solve_classes`, which reuses the
+        *bottleneck structure* of the previous masked solve (see
+        :class:`_Hint`).  Unmasked calls water-fill every block once.
         """
         rates = np.zeros(self.n_flows)
         if active is None:
             act = np.ones(self.n_flows, dtype=bool)
-            counts = self._full_counts
         else:
             act = np.asarray(active, dtype=bool)
-            counts = self.counts(act)
         rates[act & ~self._has_links] = np.inf
         if self.n_classes:
-            class_rates = None
-            if active is not None:
-                if self._hint is not None:
-                    class_rates = self._rates_from_hint(counts)
-                if class_rates is None:
-                    class_rates, self._hint = self._water_fill(
-                        counts, emit=True
-                    )
+            if active is None:
+                class_rates = self._water_fill(self._full_counts, False)[0]
             else:
-                class_rates = self.class_rates(counts)
+                class_rates = self.solve_classes(self.counts(act))
             sel = act & self._has_links
             rates[sel] = class_rates[self._flow_class[sel]]
         return rates
@@ -318,72 +367,57 @@ class FairnessProblem:
     def solve_classes(self, counts: np.ndarray) -> np.ndarray:
         """Class rates under explicit per-class weights.
 
-        The dynamic event loop's entry point: tries the hint fast path
-        (see :class:`_Hint`) and falls back to a full water-fill, which
-        re-emits the hint for the next call.  Callers that track the
-        active multiplicities incrementally skip the per-event
-        ``bincount`` of :meth:`rates`.
+        The dynamic event loop's entry point, one call per lockstep
+        step of every block: each block tries the hint fast path (see
+        :class:`_Hint`), and the blocks whose hint fails verification
+        are water-filled together, which re-emits their hints for the
+        next call.  Callers that track the active multiplicities
+        incrementally skip the per-event ``bincount`` of :meth:`rates`.
         """
-        crates = None
-        if self._hint is not None:
-            crates = self._rates_from_hint(counts)
-        if crates is None:
-            crates, self._hint = self._water_fill(counts, emit=True)
+        if self._hint is None:
+            crates, structure = self._water_fill(counts, True)
+            self._set_hint(structure)
+            return crates
+        crates, failed = self._rates_from_hint(counts)
+        if failed.any():
+            redo = failed[self._class_block]
+            fresh, structure = self._water_fill(
+                np.where(redo, counts, 0.0), True
+            )
+            crates[redo] = fresh[redo]
+            self._set_hint(structure, failed)
         return crates
-
-    def rates_active(self, idx: np.ndarray) -> np.ndarray:
-        """Rates for exactly the flows in ``idx`` (all others inactive).
-
-        Returns an array aligned with ``idx`` — the dynamic event loop's
-        shape — skipping the full per-flow expansion of :meth:`rates`.
-        Uses the same hint fast path / water-fill fallback.
-        """
-        fc = self._flow_class[idx]
-        linked = fc >= 0
-        all_linked = bool(linked.all())
-        counts = np.bincount(
-            fc if all_linked else fc[linked], minlength=self.n_classes
-        ).astype(float)
-        crates = self.solve_classes(counts)
-        if all_linked:
-            return crates[fc]
-        out = np.full(len(idx), np.inf)
-        out[linked] = crates[fc[linked]]
-        return out
-
-    def class_rates(self, counts: np.ndarray) -> np.ndarray:
-        """Water-fill the classes weighted by ``counts`` active flows each.
-
-        The incremental kernel: per level it only touches the compacted
-        per-link arrays; per-class work happens exactly once, when the
-        class freezes (its load is subtracted from the link occupancy,
-        which stays an exact integer-valued float throughout — this is
-        what makes the kernel agree bit-for-bit with the reference).
-        """
-        return self._water_fill(counts, emit=False)[0]
 
     def _water_fill(
         self, counts: np.ndarray, emit: bool
-    ) -> tuple[np.ndarray, _Hint | None]:
-        """Progressive filling; with ``emit`` also records the hint.
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """Progressive filling of every block with live classes, in lockstep.
 
-        ``emit=False`` follows the exact arithmetic of the original
-        kernel; ``emit=True`` additionally assigns every frozen class
-        its *bottleneck tier* (the first saturated link it crosses, in
-        link-id order within a level) — the structure
-        :meth:`_rates_from_hint` re-solves under new weights.  Both
-        paths produce identical rates: the dedup order only affects
-        float summation of exact integers.
+        Each iteration steps every live block once: its level rises by
+        the smallest headroom among its live links (a segmented min),
+        its saturated links — or, in the numerical corner where none
+        saturates, its first tightest link — freeze the classes crossing
+        them, and their load leaves the link occupancies.  These are a
+        solo water-fill's IEEE operations on the same operands; only
+        the per-class work is exactly once, at freezing, and occupancies
+        stay exact integer-valued floats throughout.
+
+        With ``emit`` it also returns the bottleneck structure that
+        :meth:`_set_hint` turns into the hint: every frozen class's
+        *tier* (the first saturated link it crosses, in link order
+        within a level) and every tier link's index, block-local and
+        pruned to the tiers that froze a class.
         """
         n_links = self.n_links
+        link_block = self._link_block
+        class_block = self._class_block
         crates = np.zeros(self.n_classes)
         alive = counts > 0
-        n_alive = int(alive.sum())
-        toc = np.full(self.n_classes, -1, dtype=np.intp) if emit else None
-        tier_links: list[np.ndarray] = []
-        tier_base = 0
-        if n_alive == 0 or n_links == 0:
-            return crates, (self._build_hint(tier_links, toc) if emit else None)
+        toc = np.full(self.n_classes, -1, dtype=np.intp)
+        first_sat = np.full(self.n_classes, n_links, dtype=np.intp)
+        n_tiers = np.zeros(self.n_blocks, dtype=np.intp)
+        sats: list[np.ndarray] = []
+        level = np.zeros(self.n_blocks)
         link_classes = self._link_classes
         link_ptr = self._link_ptr
         class_links = self._class_links
@@ -394,230 +428,235 @@ class FairnessProblem:
         cap_left = self._caps.copy()
         eps_caps = _EPS * self._caps
         # Links whose occupancy dropped to zero never come back (classes
-        # only freeze), so the per-level arrays shrink as flows drain.
+        # only freeze), so the per-level arrays shrink as flows drain;
+        # a block is done when its last live link drops out.
         live = np.flatnonzero(n_active > 0)
-        level = 0.0
         for _ in range(n_links + 1):
-            if n_alive == 0:
-                break
             na = n_active[live]
             keep = na > 0
             if not keep.all():
                 live = live[keep]
                 na = na[keep]
-                if live.size == 0:
-                    break
+            if live.size == 0:
+                break
+            lb = link_block[live]
+            starts = run_starts(lb)
             cl = cap_left[live]
             headroom = cl / na
-            k = int(headroom.argmin())
-            inc = float(headroom[k])
-            level += inc
-            cl = cl - inc * na
+            inc = np.minimum.reduceat(headroom, starts)
+            level[lb[starts]] += inc
+            inc_per_link = spread(inc, starts, live.size)
+            cl = cl - inc_per_link * na
             cap_left[live] = cl
-            sat = live[cl <= eps_caps[live]]
-            if sat.size == 0:
+            hit = cl <= eps_caps[live]
+            saturated = np.logical_or.reduceat(hit, starts)
+            if not saturated.all():
                 # Numerical corner: saturate the tightest link explicitly.
-                sat = live[k:k + 1]
+                tight = headroom == inc_per_link
+                for s in starts[~saturated].tolist():
+                    hit[s + int(tight[s:].argmax())] = True
+            sat = live[hit]
             # Freeze every still-alive class crossing a saturated link.
-            srcs = None
-            if sat.size == 1:
-                s = int(sat[0])
-                cand = link_classes[link_ptr[s]:link_ptr[s + 1]]
-            else:
-                cand = link_classes[_segment_gather(link_ptr, sat)]
-                if emit:
-                    srcs = np.repeat(sat, link_ptr[sat + 1] - link_ptr[sat])
-            mask = alive[cand]
-            cand = cand[mask]
-            if cand.size == 0:
+            crossing = link_classes[_segment_gather(link_ptr, sat)]
+            mask = alive[crossing]
+            crossing = crossing[mask]
+            if crossing.size == 0:
                 raise SimulationError(
                     "progressive filling failed to converge"
                 )
+            freeze = np.zeros(self.n_classes, dtype=bool)
+            freeze[crossing] = True
+            cand = freeze.nonzero()[0]
             if emit:
-                assert toc is not None
-                if srcs is not None:
-                    srcs = srcs[mask]
-                if cand.size > 1:
-                    cand, first = np.unique(cand, return_index=True)
-                    if srcs is None:
-                        toc[cand] = tier_base
-                    else:
-                        toc[cand] = tier_base + np.searchsorted(
-                            sat, srcs[first]
-                        )
-                elif srcs is None:
-                    toc[cand] = tier_base
+                # Tier = the block's tiers of earlier levels + the rank
+                # of the class's first saturated link among the block's
+                # saturated links of this level.
+                sat_block = link_block[sat]
+                if sat.size == 1:
+                    toc[cand] = n_tiers[sat_block[0]]
                 else:
-                    toc[cand] = tier_base + int(
-                        np.searchsorted(sat, srcs[0])
+                    np.minimum.at(
+                        first_sat,
+                        crossing,
+                        sat.repeat(link_ptr[sat + 1] - link_ptr[sat])[mask],
                     )
-                tier_links.append(sat)
-                tier_base += int(sat.size)
-            elif cand.size > 1:
-                cand = np.sort(cand)
-                cand = cand[
-                    np.concatenate(([True], cand[1:] != cand[:-1]))
-                ]
-            crates[cand] = level
+                    cb = class_block[cand]
+                    toc[cand] = (
+                        n_tiers[cb]
+                        + sat.searchsorted(first_sat[cand])
+                        - sat_block.searchsorted(cb)
+                    )
+                n_tiers += np.bincount(sat_block, minlength=self.n_blocks)
+                sats.append(sat)
+            crates[cand] = level[class_block[cand]]
             alive[cand] = False
-            n_alive -= int(cand.size)
             # Remove the frozen classes' load from the occupancies; on
             # the just-saturated links this lands on exactly zero
             # (integer-valued floats throughout).
-            if cand.size == 1:
-                c = int(cand[0])
-                frozen_links = class_links[class_ptr[c]:class_ptr[c + 1]]
-                n_active -= np.bincount(
-                    frozen_links,
-                    weights=None,
-                    minlength=n_links,
-                ) * counts[c]
-            else:
-                frozen_links = class_links[_segment_gather(class_ptr, cand)]
-                n_active -= np.bincount(
-                    frozen_links,
-                    weights=np.repeat(
-                        counts[cand], class_ptr[cand + 1] - class_ptr[cand]
-                    ),
-                    minlength=n_links,
-                )
+            np.subtract.at(
+                n_active,
+                class_links[_segment_gather(class_ptr, cand)],
+                counts[cand].repeat(class_ptr[cand + 1] - class_ptr[cand]),
+            )
         else:
             raise SimulationError(
                 "progressive filling exceeded its iteration bound"
             )
-        crates[alive] = level  # pathological leftovers (shouldn't occur)
-        return crates, (self._build_hint(tier_links, toc) if emit else None)
-
-    def _build_hint(
-        self, tier_links: list[np.ndarray], toc: np.ndarray | None
-    ) -> _Hint:
-        """Precompute the mask-independent arrays of the hint fast path."""
-        assert toc is not None
-        tiers = (
-            np.concatenate(tier_links)
-            if tier_links
-            else np.empty(0, dtype=np.intp)
-        )
-        # Saturated links that froze no class (another link in the same
-        # level got there first in link order) add dead rows/columns to
-        # the triangular system; prune them so its size tracks the
-        # classes, not the saturation count — symmetric phases saturate
+        # Pathological leftovers (shouldn't occur).
+        crates[alive] = level[class_block[alive]]
+        if not emit:
+            return crates, None
+        # Tiers block by block, each in freezing order; saturated links
+        # that froze no class (another link of the same level got there
+        # first in link order) would add dead rows/columns to the
+        # triangular system, so prune them — symmetric phases saturate
         # hundreds of links in one level.
-        if tiers.size:
-            used = np.zeros(tiers.size, dtype=bool)
-            used[toc[toc >= 0]] = True
-            if not used.all():
-                remap = np.concatenate(
-                    (np.cumsum(used) - 1, [-1])
-                ).astype(np.intp)
-                toc = remap[toc]
-                tiers = tiers[used]
-        t = tiers.size
+        tiers = np.concatenate(sats) if sats else np.empty(0, dtype=np.intp)
+        tiers = tiers[np.argsort(link_block[tiers], kind="stable")]
+        cov = toc >= 0
+        gtoc = csr_offsets(n_tiers)[class_block[cov]] + toc[cov]
+        used = np.zeros(tiers.size, dtype=bool)
+        used[gtoc] = True
+        rank = np.cumsum(used) - 1
+        kept = tiers[used]
+        kept_start = csr_offsets(
+            np.bincount(link_block[kept], minlength=self.n_blocks)
+        )
+        tier_of_link = np.full(n_links, -1, dtype=np.intp)
+        tier_of_link[kept] = rank[used] - kept_start[link_block[kept]]
+        toc[cov] = rank[gtoc] - kept_start[class_block[cov]]
+        return crates, (toc, tier_of_link)
+
+    def _set_hint(
+        self,
+        structure: tuple[np.ndarray, np.ndarray] | None,
+        blocks: np.ndarray | None = None,
+    ) -> None:
+        """Adopt an emitted structure (for ``blocks`` only, if given)."""
+        assert structure is not None
+        toc, tier_of_link = structure
+        if blocks is None:
+            self._toc, self._tier_of_link = toc, tier_of_link
+        else:
+            cm = blocks[self._class_block]
+            self._toc[cm] = toc[cm]
+            lm = blocks[self._link_block]
+            self._tier_of_link[lm] = tier_of_link[lm]
+        self._hint = self._build_hint()
+
+    def _build_hint(self) -> _Hint:
+        """Precompute the mask-independent arrays of the hint fast path."""
+        local = self._tier_of_link
+        is_tier = np.flatnonzero(local >= 0)
+        tb = self._link_block[is_tier]
+        tier_ptr = csr_offsets(np.bincount(tb, minlength=self.n_blocks))
+        gid = tier_ptr[tb] + local[is_tier]
+        tiers = np.empty(is_tier.size, dtype=np.intp)
+        tiers[gid] = is_tier
         tier_of_link = np.full(self.n_links, -1, dtype=np.intp)
-        tier_of_link[tiers] = np.arange(t)
+        tier_of_link[is_tier] = gid
+        covered = self._toc >= 0
+        toc = np.where(covered, tier_ptr[self._class_block] + self._toc, -1)
         nl = tier_of_link[self._class_links]
         nc = toc[self._nnz_class]
         valid = (nl >= 0) & (nc >= 0)
-        covered = toc >= 0
-        pair_row = nc[valid]
-        pair_col = nl[valid]
-        is_diag = pair_row == pair_col
-        diag_idx = np.flatnonzero(is_diag)
-        off_idx = np.flatnonzero(~is_diag)
         return _Hint(
             tiers=tiers,
+            tier_block=self._link_block[tiers],
+            caps_tiers=self._caps[tiers],
             toc=toc,
             covered=covered,
             all_covered=bool(covered.all()),
-            pair_idx=pair_row * t + pair_col,
             pair_class=self._nnz_class[valid],
-            pair_row=pair_row,
-            pair_col=pair_col,
-            diag_idx=diag_idx,
-            diag_col=pair_col[diag_idx],
-            off_idx=off_idx,
-            off_row=pair_row[off_idx],
-            off_col=pair_col[off_idx],
-            caps_tiers=self._caps[tiers],
+            pair_row=nc[valid],
+            pair_col=nl[valid],
         )
 
-    def _rates_from_hint(self, counts: np.ndarray) -> np.ndarray | None:
-        """Re-solve under the previous bottleneck structure, verified.
+    def _rates_from_hint(
+        self, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Re-solve every block under its previous bottleneck structure.
 
         Tier ``t``'s link is exactly exhausted by its own classes plus
-        the load of earlier tiers crossing it, so the tier rates solve a
-        lower-triangular system (no later-frozen class can cross an
-        earlier-saturated link — it would have been frozen there).  The
-        solution is accepted only if it passes the max-min optimality
-        conditions: positive rates, every tier at least as fast as the
-        earlier tiers crossing its link, and global feasibility.  Any
-        failure returns ``None`` and the caller re-derives the structure
-        with a full water-fill.
+        the load of earlier tiers crossing it, so a block's tier rates
+        solve a lower-triangular system (no later-frozen class can cross
+        an earlier-saturated link — it would have been frozen there).  A
+        block's solution is accepted only if it passes the max-min
+        optimality conditions: positive rates, every tier at least as
+        fast as the earlier tiers crossing its link, and feasibility.
+
+        Returns the class rates and the per-block mask of blocks that
+        failed (their rates are meaningless; the caller re-derives their
+        structure with a water-fill).
         """
         hint = self._hint
         assert hint is not None
-        if not hint.all_covered and bool(
-            ((counts > 0) & ~hint.covered).any()
-        ):
-            return None
+        failed = np.zeros(self.n_blocks, dtype=bool)
+        if not hint.all_covered:
+            failed[self._class_block[(counts > 0) & ~hint.covered]] = True
         t = hint.tiers.size
-        if t == 0:
-            return np.zeros(self.n_classes)
+        # Only the crossings of active classes carry weight.  The others
+        # would add exact zeros to every sum below, so dropping them
+        # changes no bit — and it shrinks the work as flows drain.
         pw = counts[hint.pair_class]
-        diag = np.bincount(
-            hint.diag_col, weights=pw[hint.diag_idx], minlength=t
-        )
+        on = (pw > 0).nonzero()[0]
+        pw = pw[on]
+        rows = hint.pair_row[on]
+        cols = hint.pair_col[on]
+        off = rows != cols
+        diag = np.bincount(cols, weights=np.where(off, 0.0, pw), minlength=t)
+        # Tiers whose classes all completed drop out; a tier with an
+        # active class always keeps a positive diagonal (the class
+        # crosses its own bottleneck link).  Each block's matrix is
+        # built compact: crossings into dropped tiers carry load on
+        # unsaturated links, covered by the feasibility check.
         keep = diag > 0
-        if keep.all():
+        kept = keep.nonzero()[0]
+        kb = hint.tier_block[kept]
+        kept_ptr = kb.searchsorted(self._block_edges)
+        tc = kept_ptr[1:] - kept_ptr[:-1]
+        # Block-local index of every kept tier (dropped ones are never read).
+        newidx = keep.cumsum() - 1 - kept_ptr[hint.tier_block]
+        sel = keep[cols]
+        sel_cols = cols[sel]
+        pb = hint.tier_block[sel_cols]
+        cells = newidx[rows[sel]] * tc[pb] + newidx[sel_cols]
+        weights = pw[sel]
+        p_at = pb.searchsorted(self._block_edges).tolist()
+        k_at = kept_ptr.tolist()
+        caps_k = hint.caps_tiers[kept]
+        r = np.zeros(kept.size)
+        dtrtrs = _get_dtrtrs()
+        for b in tc.nonzero()[0].tolist():
+            k0, k1 = k_at[b], k_at[b + 1]
+            n = k1 - k0
             mc = np.bincount(
-                hint.pair_idx, weights=pw, minlength=t * t
-            ).reshape(t, t)
-            caps_t = hint.caps_tiers
-            kept = None
-        else:
-            # Tiers whose classes all completed drop out; a tier with an
-            # active class always keeps a positive diagonal (the class
-            # crosses its own bottleneck link).  Build the compact
-            # matrix directly — crossings into dropped tiers carry load
-            # on unsaturated links, covered by the feasibility check;
-            # crossings *from* dropped tiers all have zero weight.
-            kept = np.flatnonzero(keep)
-            tc = kept.size
-            if tc == 0:
-                return np.zeros(self.n_classes)
-            newidx = np.full(t, -1, dtype=np.intp)
-            newidx[kept] = np.arange(tc)
-            sel = keep[hint.pair_col]
-            rows = np.maximum(newidx[hint.pair_row[sel]], 0)
-            mc = np.bincount(
-                rows * tc + newidx[hint.pair_col[sel]],
-                weights=pw[sel],
-                minlength=tc * tc,
-            ).reshape(tc, tc)
-            caps_t = hint.caps_tiers[kept]
-        # mc is upper triangular (no later-frozen class crosses an
-        # earlier-saturated link), so dtrtrs with trans solves the
-        # transposed (lower) system without forming mc.T.
-        r, info = _get_dtrtrs()(mc, caps_t, lower=0, trans=1)
-        if info != 0 or bool((r <= 0).any()):
-            return None
-        if kept is None:
-            r_full = r
-            r_chk = r
-        else:
-            r_full = np.zeros(t)
-            r_full[kept] = r
-            # Dropped tiers impose no rate bound of their own.
-            r_chk = np.where(keep, r_full, np.inf)
+                cells[p_at[b]:p_at[b + 1]],
+                weights=weights[p_at[b]:p_at[b + 1]],
+                minlength=n * n,
+            ).reshape(n, n)
+            # mc is upper triangular (no later-frozen class crosses an
+            # earlier-saturated link), so dtrtrs with trans solves the
+            # transposed (lower) system without forming mc.T.
+            r[k0:k1], info = dtrtrs(mc, caps_k[k0:k1], lower=0, trans=1)
+            if info:
+                failed[b] = True
+        # Checks below only name failing blocks when something fails.
+        bad = r <= 0
+        if bad.any():
+            failed[kb[bad]] = True
+        r_full = np.zeros(t)
+        r_full[kept] = r
+        # Dropped tiers impose no rate bound of their own.
+        r_chk = np.where(keep, r_full, np.inf)
         # Bottleneck validity: no earlier tier crossing this tier's link
         # may be faster, else that link is not these classes' bottleneck.
         # Checked pairwise over the sparse crossings — the dense column
         # max is O(T^2) and dominates when whole levels saturate at once.
-        bad = (pw[hint.off_idx] > 0) & (
-            r_full[hint.off_row] > r_chk[hint.off_col] * (1.0 + _EPS)
-        )
-        if bool(bad.any()):
-            return None
+        off_row = rows[off]
+        bad = r_full[off_row] > r_chk[cols[off]] * (1.0 + _EPS)
+        if bad.any():
+            failed[hint.tier_block[off_row[bad]]] = True
         if hint.all_covered:
             crates = r_full[hint.toc]
         else:
@@ -629,9 +668,10 @@ class FairnessProblem:
             weights=(counts * crates)[self._nnz_class],
             minlength=self.n_links,
         )
-        if bool((load > self._caps_tol).any()):
-            return None
-        return crates
+        bad = load > self._caps_tol
+        if bad.any():
+            failed[self._link_block[bad]] = True
+        return crates, failed
 
 
 def max_min_fair_rates(
@@ -663,88 +703,6 @@ def max_min_fair_rates(
     if len(flow_links) == 0:
         return np.zeros(0)
     return FairnessProblem(flow_links, link_capacity).rates()
-
-
-def reference_max_min_fair_rates(
-    flow_links: Sequence[Sequence[int]],
-    link_capacity: Mapping[int, float] | Sequence[float] | np.ndarray,
-) -> np.ndarray:
-    """The pre-incremental implementation, kept as the executable spec.
-
-    Rebuilds the scipy CSR incidence from Python lists on every call —
-    exactly what :class:`FairnessProblem` exists to avoid.  The
-    equivalence tests assert the incremental engine matches this
-    function to 1e-9, and the perf benchmarks measure the speedup
-    against it; do not call it from production paths.
-    """
-    from scipy import sparse
-
-    n_flows = len(flow_links)
-    if n_flows == 0:
-        return np.zeros(0)
-
-    used_links: dict[int, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    empty_flows: list[int] = []
-    for f, links in enumerate(flow_links):
-        if not links:
-            empty_flows.append(f)
-            continue
-        for lid in links:
-            rows.append(used_links.setdefault(lid, len(used_links)))
-            cols.append(f)
-    n_links = len(used_links)
-    rates = np.zeros(n_flows)
-    if empty_flows:
-        rates[empty_flows] = np.inf
-    if n_links == 0:
-        return rates
-
-    if isinstance(link_capacity, Mapping):
-        caps = np.array([link_capacity[lid] for lid in used_links], dtype=float)
-    else:
-        cap_arr = np.asarray(link_capacity, dtype=float)
-        caps = np.array([cap_arr[lid] for lid in used_links], dtype=float)
-    if np.any(caps <= 0):
-        raise SimulationError("links must have positive capacity")
-
-    a = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_links, n_flows)
-    )
-    at = a.T.tocsr()
-
-    active = np.ones(n_flows, dtype=bool)
-    active[empty_flows] = False
-    cap_left = caps.copy()
-    level = np.zeros(n_flows)
-
-    for _ in range(n_links + 1):
-        if not active.any():
-            break
-        n_active = a @ active.astype(float)
-        crossed = n_active > 0
-        if not crossed.any():
-            break
-        inc = np.min(cap_left[crossed] / n_active[crossed])
-        level[active] += inc
-        cap_left -= inc * n_active
-        saturated = crossed & (cap_left <= _EPS * caps)
-        if not saturated.any():
-            idx = np.argmin(np.where(crossed, cap_left / np.maximum(n_active, 1), np.inf))
-            saturated = np.zeros_like(crossed)
-            saturated[idx] = True
-        frozen = (at @ saturated.astype(float)) > 0
-        newly = frozen & active
-        if not newly.any():
-            raise SimulationError("progressive filling failed to converge")
-        rates[newly] = level[newly]
-        active &= ~newly
-    else:
-        raise SimulationError("progressive filling exceeded its iteration bound")
-
-    rates[active] = level[active]  # pathological leftovers (shouldn't occur)
-    return rates
 
 
 def link_loads(

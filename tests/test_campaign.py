@@ -387,7 +387,10 @@ class TestAnomalyCounters:
 
     def test_exact_cell_reports_zero_anomalies(self, tmp_path):
         status, record = self._run(tmp_path)
-        zero = {"events_truncated": 0, "resolve_fallbacks": 0}
+        zero = {
+            "events_truncated": 0, "resolve_fallbacks": 0,
+            "cache_rebuilds": 0, "serial_fallbacks": 0,
+        }
         assert record["anomalies"] == zero
         assert status["anomalies"] == zero
         assert status["cells"][0]["anomalies"] == zero
@@ -422,4 +425,36 @@ class TestAnomalyCounters:
         assert (status["anomalies"]["resolve_fallbacks"]
                 == record["anomalies"]["resolve_fallbacks"])
         # The per-pair resolve found the same paths: values are exact.
+        assert record["values"] == exact["values"]
+
+    @pytest.mark.parametrize("victim", ["json", "sidecar"])
+    def test_cache_rebuild_is_counted(self, tmp_path, victim):
+        import shutil
+
+        exact = self._run(tmp_path / "warm")[1]
+        clear_fabric_cache()
+        cache = campaign_paths(tmp_path / "torn")["fabric_cache"]
+        shutil.copytree(campaign_paths(tmp_path / "warm")["fabric_cache"], cache)
+        (payload,) = cache.glob("fabric-*.json")
+        torn = payload if victim == "json" else Fabric.rows_sidecar(payload)
+        torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+        status, record = self._run(tmp_path / "torn")
+        assert record["fabric_cache"]["load_errors"] == 1
+        assert record["fabric_cache"]["routed"] == 1
+        assert record["anomalies"]["cache_rebuilds"] == 1
+        assert status["anomalies"]["cache_rebuilds"] == 1
+        assert record["values"] == exact["values"]
+
+    def test_pool_serial_fallback_is_counted(self, tmp_path, monkeypatch):
+        from repro.core import parallel
+
+        exact = self._run(tmp_path / "exact")[1]
+        clear_fabric_cache()
+        # The pool cannot start: the preflight's one parallel walk falls
+        # back to the serial path.
+        monkeypatch.setattr(parallel, "_acquire_pool", lambda workers: None)
+        with parallel.sweep_workers(2), parallel.column_floor(1):
+            status, record = self._run(tmp_path / "serial")
+        assert record["anomalies"]["serial_fallbacks"] == 1
+        assert status["anomalies"]["serial_fallbacks"] == 1
         assert record["values"] == exact["values"]

@@ -29,7 +29,7 @@ from repro.analysis.load import (
 )
 from repro.core.errors import DeadlockError, RoutingError, TopologyError
 from repro.ib.cdg import _dest_dependencies_generic, dest_dependencies_from_tables
-from repro.ib.deadlock import assign_layers, reference_assign_layers
+from repro.ib.deadlock import assign_layers
 from repro.ib.fabric import FABRIC_FORMAT_VERSION, Fabric
 from repro.ib.subnet_manager import (
     UNREACHABLE_SAMPLE_CAP,
@@ -48,6 +48,7 @@ from repro.topology.fattree import k_ary_n_tree
 from repro.topology.faults import FabricEvent, inject_cable_faults
 from repro.topology.hyperx import hyperx
 from repro.topology.torus import torus
+from tests.oracles import reference_assign_layers
 
 
 def _small_nets():
