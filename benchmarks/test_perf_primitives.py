@@ -423,6 +423,88 @@ def test_perf_registry_cold_sweeps(benchmark, report_dir):
     )
 
 
+#: Required hop-level-plan vs heap-sweep speedup of the SSSP family's
+#: ``compute`` (measured ~3x on a 2-core host; shared runners only
+#: need to catch a return to per-destination heaps).
+SSSP_FAMILY_FLOOR = 1.5
+
+
+def _timed_sweep(engine, heap: bool, rounds: int = 3):
+    """(fabric, best ``compute`` seconds) routing the faulted plane.
+
+    ``heap`` swaps the engine's sweep for the heap-Dijkstra oracle of
+    ``tests/oracles.py`` over the same per-LID declarations; the subnet
+    manager's VL layering runs on both, so their LFT dumps compare.
+    """
+    from tests.oracles import reference_feedback_sweep
+
+    sweep = engine.compute
+    if heap:
+        def sweep(fabric):
+            reference_feedback_sweep(fabric, engine.feedback_trees(fabric))
+    spent = []
+
+    def timed(fabric):
+        t0 = time.perf_counter()
+        sweep(fabric)
+        spent.append(time.perf_counter() - t0)
+
+    engine.compute = timed
+    try:
+        for _ in range(rounds):
+            fabric = OpenSM(t2hx_hyperx(with_faults=True, seed=1)).run(engine)
+    finally:
+        del engine.compute
+    return fabric, min(spent)
+
+
+def test_perf_sssp_family_sweep(benchmark, report_dir):
+    """DFSSSP and PARX ``compute`` on cached hop-level plans vs the
+    per-destination heap sweep they replaced, in one process.
+
+    Both sides route the faulted 672-node plane from the same per-LID
+    declarations (PARX with a seeded synthetic profile) and must dump
+    identical LFTs; the plans must beat the heap sweep by
+    ``SSSP_FAMILY_FLOOR``.
+    """
+    from repro.routing import create_engine
+
+    rng = make_rng(7)
+    terms = t2hx_hyperx().terminals
+    profile: dict[int, dict[int, int]] = {}
+    for _ in range(2000):
+        a, b = rng.choice(len(terms), size=2, replace=False)
+        profile.setdefault(terms[a], {})[terms[b]] = int(rng.integers(1, 256))
+    payload = {"floor": SSSP_FAMILY_FLOOR}
+
+    def compare(name, engine):
+        fast, fast_s = _timed_sweep(engine, heap=False)
+        slow, heap_s = _timed_sweep(engine, heap=True)
+        payload[name] = {
+            "plans_s": fast_s,
+            "heap_s": heap_s,
+            "speedup": heap_s / fast_s,
+            "num_vls": fast.num_vls,
+            "digest": _lft_digest(fast),
+            "identical": fast.dump_lft() == slow.dump_lft()
+            and fast.notes == slow.notes,
+        }
+
+    benchmark.pedantic(
+        lambda: compare("dfsssp", create_engine("dfsssp")),
+        rounds=1, iterations=1,
+    )
+    compare("parx", ParxRouting(profile))
+    payload["peak_rss_bytes"] = _peak_rss_bytes()
+    benchmark.extra_info.update(payload)
+    (report_dir / "perf_sssp_family_sweep.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
+    for name in ("dfsssp", "parx"):
+        assert payload[name]["identical"], payload
+        assert payload[name]["speedup"] >= SSSP_FAMILY_FLOOR, payload
+
+
 #: Full-plane cold-sweep seconds of the sequential (one Dijkstra per
 #: destination) path, pinned on this class of machine immediately
 #: before the batched kernel landed.  The batched sweeps must beat them

@@ -24,6 +24,7 @@ from repro.ib.addressing import (
 from repro.ib.fabric import FABRIC_FORMAT_VERSION, Fabric
 from repro.ib.cdg import (
     channel_dependencies,
+    dependencies_by_dest,
     dependency_cycle_exists,
     dest_dependencies_from_tables,
     find_dependency_cycle,
@@ -47,6 +48,7 @@ __all__ = [
     "channel_dependencies",
     "dependency_cycle_exists",
     "dest_dependencies_from_tables",
+    "dependencies_by_dest",
     "find_dependency_cycle",
     "CreditLoop",
     "assign_layers",

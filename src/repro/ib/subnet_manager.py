@@ -27,7 +27,7 @@ from repro.ib.addressing import (
     assign_lids_quadrant,
     assign_lids_sequential,
 )
-from repro.ib.cdg import dest_dependencies_from_tables
+from repro.ib.cdg import dependencies_by_dest
 from repro.ib.deadlock import assign_layers
 from repro.ib.fabric import Fabric
 from repro.topology.faults import FabricEvent
@@ -343,12 +343,8 @@ def _relayer(fabric: Fabric, max_vls: int, engine: "RoutingEngine") -> None:
     the same lanes a heavy sweep would assign.
     """
     dlids = fabric.lidmap.terminal_lids(fabric.net)
-    dep_edges = {
-        dlid: dest_dependencies_from_tables(fabric, dlid)
-        for dlid in dlids
-    }
     vl_of, num = assign_layers(
-        dep_edges, max_vls=max_vls,
+        dependencies_by_dest(fabric, dlids), max_vls=max_vls,
         order=_layering_order(fabric, engine, dlids),
     )
     fabric.vl_of_dlid = vl_of
@@ -466,12 +462,8 @@ class OpenSM:
 
         if engine.provides_deadlock_freedom:
             dlids = lidmap.terminal_lids(self.net)
-            dep_edges = {
-                dlid: dest_dependencies_from_tables(fabric, dlid)
-                for dlid in dlids
-            }
             vl_of, num = assign_layers(
-                dep_edges,
+                dependencies_by_dest(fabric, dlids),
                 max_vls=self.max_vls,
                 order=_layering_order(fabric, engine, dlids),
             )

@@ -338,9 +338,10 @@ class ForwardingTables(MutableMapping):
         self._check_fits(links)
         self._m[rows, col] = links
         present = self._rows
-        for sw, row in zip(switches.tolist(), rows.tolist()):
-            if sw not in present:
-                present[sw] = TableRow(self, sw, row)
+        if len(present) - len(self._foreign) < self._m.shape[0]:
+            for sw, row in zip(switches.tolist(), rows.tolist()):
+                if sw not in present:
+                    present[sw] = TableRow(self, sw, row)
         self.version += 1
 
     @property

@@ -1,49 +1,37 @@
 """Array-backed core of the routing sweep.
 
-The sweep's inner loop — one modified Dijkstra per destination LID —
-used to run over :class:`~repro.topology.network.Link` objects through
-``Network.in_links``, paying an allocation and several attribute/dict
-lookups per relaxed edge.  :func:`tree_core` runs the same algorithm
-over the flat CSR arrays of a
-:class:`~repro.topology.network.SwitchGraph`, with dense integer state
-instead of dicts and a heap that only receives *strictly improving*
-entries (the reference pushes every equal-cost candidate and lets the
-pop order arbitrate, which bloats the heap with duplicates).
+Destination trees are shortest-path trees under the lexicographic
+metric ``(hops, weight_sum)`` with ties broken toward the lighter, then
+lower-id parent link.  Because hops dominate, every switch settled at
+hop ``h + 1`` takes its parent among the in-links from hop level ``h``,
+so a tree is one pass per BFS level instead of a heap walk:
 
-Why the output is bit-identical to the reference
-(``reference_tree_to_destination`` in :mod:`repro.routing.dijkstra`):
+* :func:`tree_core_batch` advances a whole block of destination
+  columns per numpy pass, for engines whose per-destination weights are
+  independent of other destinations;
+* :func:`level_plan` + :func:`feedback_tree` serve the SSSP family,
+  whose load feedback forces one tree at a time: the BFS levels and
+  each level's candidate in-links depend only on the (masked) graph and
+  the root, so they are planned once and every tree toward the same
+  root only re-runs the weighted minimum per level.
 
-* The reference's winner for node ``v`` is the heap-minimal candidate
-  tuple ``(hops, weight_sum, parent_link_weight, parent_link_id)`` over
-  all relaxations of ``v`` — every candidate tying on ``(hops, weight)``
-  is pushed, and the first pop settles the full-tuple minimum.
-* Here the running per-node best of that same 4-tuple is kept densely;
-  each strict improvement is pushed, so pushes for a node are strictly
-  decreasing and the first pop is again the full-tuple minimum.  Both
-  sides therefore settle nodes in the same order (dense switch index is
-  monotone in node id, so even total ties order identically) and relax
-  with the same ``w_u + weight[link]`` float expressions — the sums are
-  the same IEEE operations in the same order, hence identical bits.
+Both are bit-identical to the heap Dijkstra they replaced (kept in
+``tests/oracles.py`` as the executable specification): a switch's
+winner is in both the lexicographic minimum of
+``(weight_sum, link_weight, link_id)`` over the same candidates, the
+candidate ``weight_sum`` is the same single IEEE addition
+``wsum[u] + weights[link]``, and link ids are unique per candidate set,
+so the minimum is unique and the reduction order cannot matter.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 #: Hop count marking an unreached switch in the dense arrays.
 UNREACHED_HOPS = 1 << 30
-
-
-class GraphView(Protocol):
-    """What :func:`tree_core` needs: a (possibly masked) in-link CSR."""
-
-    num_switches: int
-    in_ptr_list: list[int]
-    in_src_list: list[int]
-    in_link_list: list[int]
 
 
 class BatchGraphView(Protocol):
@@ -163,94 +151,13 @@ def incidence_scan_block(
     return keys, ndests
 
 
-def tree_core(
-    graph: GraphView,
-    root: int,
-    weights: Sequence[float],
-) -> tuple[list[int], list[int], list[int]]:
-    """Destination tree toward dense switch index ``root``.
-
-    Parameters
-    ----------
-    graph:
-        CSR view (already masked, if the engine masks links).
-    root:
-        Dense index of the destination's switch.
-    weights:
-        Per-link-id weights as a plain Python sequence (``list`` beats
-        numpy scalar extraction in this loop by ~3x).
-
-    Returns
-    -------
-    (parent_link, hops, order):
-        Dense arrays over switch index: the chosen out-link id (-1 for
-        the root and unreached switches) and hop count
-        (:data:`UNREACHED_HOPS` when unreached), plus the settlement
-        order — the sequence pops settled in, which downstream load
-        accumulation relies on for float-exact reproduction.
-    """
-    n = graph.num_switches
-    hops = [UNREACHED_HOPS] * n
-    wsum = [0.0] * n
-    plw = [0.0] * n
-    plid = [-1] * n
-    parent = [-1] * n
-    done = [False] * n
-    order: list[int] = []
-    hops[root] = 0
-    heap: list[tuple[int, float, float, int, int]] = [(0, 0.0, 0.0, -1, root)]
-    ptr, src, lnk = graph.in_ptr_list, graph.in_src_list, graph.in_link_list
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        h_u, w_u, _, pl, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        parent[u] = pl
-        order.append(u)
-        h_v = h_u + 1
-        for k in range(ptr[u], ptr[u + 1]):
-            v = src[k]
-            if done[v]:
-                continue
-            lid = lnk[k]
-            wt = weights[lid]
-            h0 = hops[v]
-            if h_v < h0:
-                better = True
-            elif h_v > h0:
-                better = False
-            else:
-                w_v = w_u + wt
-                w0 = wsum[v]
-                if w_v < w0:
-                    better = True
-                elif w_v > w0:
-                    better = False
-                else:
-                    p0 = plw[v]
-                    if wt < p0:
-                        better = True
-                    elif wt > p0:
-                        better = False
-                    else:
-                        better = lid < plid[v] or plid[v] < 0
-            if better:
-                hops[v] = h_v
-                wsum[v] = w_u + wt
-                plw[v] = wt
-                plid[v] = lid
-                push(heap, (h_v, w_u + wt, wt, lid, v))
-    return parent, hops, order
-
-
 def tree_core_batch(
     graph: BatchGraphView,
     roots: Sequence[int],
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Destination trees toward K roots at once — bit-equal to
-    :func:`tree_core` run per column.
+    """Destination trees toward K roots at once — bit-equal to one
+    heap Dijkstra per column.
 
     Instead of one heap per destination, the K columns advance together
     in hop-bucketed frontier waves over a ``(V, K)`` distance matrix:
@@ -261,7 +168,7 @@ def tree_core_batch(
     ``lexsort((link, link_weight, weight_sum, column))`` reduction that
     picks each (switch, column) cell's winner.
 
-    Bit-identity with the sequential kernel: a cell's final
+    Bit-identity with the heap Dijkstra: a cell's final
     ``(hops, weight_sum, parent_link_weight, parent_link_id)`` is in
     both kernels the lexicographic minimum over all in-edges from the
     previous hop level, and the candidate ``weight_sum`` is the same
@@ -287,7 +194,7 @@ def tree_core_batch(
         chosen out-link id (-1 for roots and unreached switches) and
         the hop count (:data:`UNREACHED_HOPS` when unreached).  No
         settlement order is produced — only the SSSP family's load
-        feedback needs one, and it cannot batch.
+        feedback needs one (:func:`feedback_tree`), and it cannot batch.
     """
     n = graph.num_switches
     root_arr = np.asarray(roots, dtype=np.int64)
@@ -355,3 +262,115 @@ def tree_core_batch(
         col_settled += np.bincount(wc, minlength=k)
         f_node, f_col = wn, wc
     return plid, hops
+
+
+class LevelPlan(NamedTuple):
+    """The weight-independent shape of every tree toward one root.
+
+    ``levels[h - 1]`` describes hop level ``h``: the switches settled
+    there (``nodes``, ascending dense index) and their candidate parent
+    links — every in-link from hop level ``h - 1`` — sorted by the
+    switch they leave, as parallel arrays ``(u, link)`` (``u`` is the
+    receiving switch one hop closer to the root) with segment ``heads``
+    and a per-candidate segment id ``seg``.  ``missing`` lists the
+    terminal-hosting switches the tree cannot reach, in ascending dense
+    index (empty on a connected view).
+    """
+
+    root: int
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    missing: np.ndarray
+
+
+def level_plan(graph: BatchGraphView, root: int, hosts: np.ndarray) -> LevelPlan:
+    """BFS levels and per-level candidate in-links toward ``root``."""
+    in_ptr, in_src, in_link = graph.in_ptr, graph.in_src, graph.in_link
+    seen = np.zeros(graph.num_switches, dtype=bool)
+    seen[root] = True
+    frontier = np.array([root], dtype=np.int64)
+    levels = []
+    while True:
+        starts = in_ptr[frontier]
+        counts = in_ptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            break
+        offsets = np.cumsum(counts) - counts
+        idx = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, counts)
+        v = in_src[idx]
+        live = ~seen[v]
+        if not live.any():
+            break
+        order = np.argsort(v[live], kind="stable")
+        v = v[live][order]
+        u = np.repeat(frontier, counts)[live][order]
+        link = in_link[idx[live][order]]
+        first = np.empty(v.size, dtype=bool)
+        first[0] = True
+        np.not_equal(v[1:], v[:-1], out=first[1:])
+        heads = np.flatnonzero(first)
+        seg = np.cumsum(first) - 1
+        nodes = v[heads]
+        seen[nodes] = True
+        levels.append((nodes, heads, seg, u, link))
+        frontier = nodes
+    return LevelPlan(root, levels, hosts[~seen[hosts]])
+
+
+_NO_LINK = np.iinfo(np.int64).max
+
+
+def feedback_tree(
+    plan: LevelPlan, weights: np.ndarray, wsum: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One destination tree over a planned root, level by level.
+
+    ``weights`` is the float64 per-link-id weight vector; ``wsum`` a
+    per-switch scratch vector the tree's weight sums are written into
+    (its other entries are never read).  Returns, per hop level
+    ``h >= 1``, the settled switches and their parent links in
+    *settlement order* — the order a heap Dijkstra pops them:
+    ``(weight_sum, link_weight, link_id)`` within the level.
+
+    Each level's winner is the lexicographic minimum of ``(w, W[link],
+    link)`` per segment, from three segmented ``np.minimum.reduceat``
+    passes (the last two only when the first leaves ties).
+    """
+    wsum[plan.root] = 0.0
+    out = []
+    for nodes, heads, seg, u, link in plan.levels:
+        wl = weights[link]
+        w = wsum[u] + wl
+        best_w = np.minimum.reduceat(w, heads)
+        tie = w == best_w[seg]
+        if np.count_nonzero(tie) == heads.size:
+            best_l, best_link = wl[tie], link[tie]
+        else:
+            best_l = np.minimum.reduceat(np.where(tie, wl, np.inf), heads)
+            tie &= wl == best_l[seg]
+            best_link = np.minimum.reduceat(np.where(tie, link, _NO_LINK), heads)
+        wsum[nodes] = best_w
+        order = np.lexsort((best_link, best_l, best_w))
+        out.append((nodes[order], best_link[order]))
+    return out
+
+
+def feed_tree_loads(
+    levels: list[tuple[np.ndarray, np.ndarray]],
+    sources: np.ndarray,
+    link_dst_index: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """Add one tree's link loads to ``weights`` (the SSSP feedback).
+
+    ``sources[u]`` is the demand injected at dense switch ``u``.  Levels
+    drain deepest first, each in settlement order, pushing a switch's
+    carry onto its parent link and into its parent's carry — the same
+    float additions in the same sequence as a per-switch walk, so every
+    link receives exactly one add into ``weights``.
+    """
+    carry = sources.copy()
+    for nodes, links in reversed(levels):
+        c = carry[nodes]
+        np.add.at(carry, link_dst_index[links], c)
+        weights[links] += c

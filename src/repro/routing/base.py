@@ -16,6 +16,7 @@ from typing import (
     Any,
     Callable,
     Collection,
+    Iterable,
     Iterator,
     Mapping,
     Sequence,
@@ -26,6 +27,13 @@ import numpy as np
 from repro.core.chunking import items_per_chunk
 from repro.core.errors import UnreachableError
 from repro.ib.fabric import Fabric
+from repro.routing.arrays import (
+    BatchGraphView,
+    LevelPlan,
+    feed_tree_loads,
+    feedback_tree,
+    level_plan,
+)
 
 if TYPE_CHECKING:
     from repro.core.parallel import TreeJob
@@ -97,9 +105,9 @@ class RoutingEngine(ABC):
     #: Engines whose per-destination weights are independent of other
     #: destinations can route whole destination blocks per numpy pass
     #: (:func:`repro.routing.arrays.tree_core_batch`) instead of one
-    #: Python heap per LID, with bit-identical tables; they set this
-    #: True.  The sequential path stays available behind
-    #: :func:`set_batched_sweep` as the executable spec.
+    #: tree per LID, with bit-identical tables; they set this True.  The
+    #: sequential path stays available behind :func:`set_batched_sweep`
+    #: as the executable spec.
     supports_batched_sweep: bool = False
     #: Batched engines whose per-column weights can be *declared* — as
     #: shared arrays plus a per-column recipe — rather than computed,
@@ -108,7 +116,8 @@ class RoutingEngine(ABC):
     #: shard destination columns across the worker pool
     #: (:mod:`repro.core.parallel`) with bit-identical tables at any
     #: worker count.  Engines with cross-destination weight feedback
-    #: (the SSSP family) can never set this.
+    #: (the SSSP family, routed by :func:`feedback_sweep`) can never
+    #: set this.
     parallel_sweep_safe: bool = False
     #: Subnet-manager settings this engine needs to operate (e.g. PARX
     #: declares ``{"lmc": 2, "lid_policy": "quadrant"}``).  Consumed by
@@ -379,3 +388,82 @@ def install_tree_columns(
             # Same diagnostic set_route would raise for the offender.
             fabric.set_route(int(switches[bad[0]]), dlid, int(links[bad[0]]))
         tables.install_column(tables.column_of(dlid), rows, links, switches)
+
+
+#: One destination LID of a feedback sweep, as an engine declares it:
+#: ``(dlid, root, view, fallback, note, sources)`` — the dense index of
+#: the destination's switch, the (possibly masked) graph view to route
+#: on, the view to retry on when ``view`` cannot reach every
+#: terminal-hosting switch (``None``: no retry), the fabric note that
+#: retry records, and the per-switch injected demand (dense float64).
+FeedbackTree = tuple[int, int, BatchGraphView, BatchGraphView | None, str, np.ndarray]
+
+
+def terminal_sources(graph: Any, root: int) -> np.ndarray:
+    """SSSP's "+1 per path" demand toward a destination switch.
+
+    Every terminal sources one path per destination, except the
+    destination itself: its own switch injects one path less.
+    """
+    sources = graph.attached_counts.copy()
+    sources[root] = max(0.0, sources[root] - 1.0)
+    return sources
+
+
+def feedback_sweep(fabric: Fabric, trees: Iterable[FeedbackTree]) -> None:
+    """Route and install destination trees one LID at a time, feeding
+    each tree's link loads into the weights of the next (SSSP, DFSSSP,
+    PARX, PARX-ND).
+
+    Weights start at 1.0 per link.  Per LID the tree runs on ``view``;
+    when that misses a terminal-hosting switch the ``fallback`` view is
+    used instead and ``note`` is appended to ``fabric.notes`` (PARX's
+    footnote 7).  If the tree still misses one, the sweep raises
+    :class:`UnreachableError` for the first such switch, with every
+    earlier LID already installed.  The column is installed in
+    settlement order, then the tree's loads under ``sources`` are added
+    to the weights.
+
+    The hop-level plan of a (view, root) pair depends only on the graph,
+    so it is built once and shared by every LID routed toward that root.
+    Engines route a switch's terminals back to back, so only the current
+    root's plans are kept: plan memory stays one root's worth at any
+    fabric size.
+    """
+    net = fabric.net
+    graph = net.switch_graph()
+    tables = fabric.tables
+    switch_ids = np.asarray(graph.switches, dtype=np.int64)
+    hosts = graph.host_switches
+    weights = np.ones(len(net.links))
+    wsum = np.empty(graph.num_switches)
+    plans: dict[Any, LevelPlan] = {}
+    plans_root = -1
+
+    def plan_for(view: BatchGraphView, root: int) -> LevelPlan:
+        plan = plans.get(view)
+        if plan is None:
+            plan = plans[view] = level_plan(view, root, hosts)
+        return plan
+
+    for dlid, root, view, fallback, note, sources in trees:
+        if root != plans_root:
+            plans.clear()
+            plans_root = root
+        plan = plan_for(view, root)
+        if plan.missing.size and fallback is not None:
+            plan = plan_for(fallback, root)
+            fabric.notes.append(note)
+        if plan.missing.size:
+            raise UnreachableError(
+                f"switch {graph.switches[plan.missing[0]]} cannot reach "
+                f"destination lid {dlid}"
+            )
+        levels = feedback_tree(plan, weights, wsum)
+        if levels:
+            rows = np.concatenate([level[0] for level in levels])
+            links = np.concatenate([level[1] for level in levels])
+            tables.install_column(
+                tables.column_of(dlid), rows, links, switch_ids[rows]
+            )
+        feed_tree_loads(levels, sources, graph.link_dst_index, weights)

@@ -15,16 +15,12 @@ but by masking links out of the graph before calling this function.
 
 from __future__ import annotations
 
-import heapq
 from typing import Collection, Sequence
 
 import numpy as np
 
-from repro.routing.arrays import tree_core
+from repro.routing.arrays import feedback_tree, level_plan
 from repro.topology.network import Network
-
-#: Sentinel distance for unreached switches.
-UNREACHED = (1 << 30, float("inf"))
 
 
 def tree_to_destination(
@@ -57,122 +53,27 @@ def tree_to_destination(
 
     Ties on ``(hops, weight-sum)`` break toward the link with the lower
     current weight, then the lower link id, making the tree independent
-    of dict iteration order.
+    of dict iteration order.  Both dicts are keyed in settlement order
+    (the order a heap Dijkstra pops switches).
 
-    Runs on the array core (:mod:`repro.routing.arrays`) over the
-    network's cached CSR view; ``parent`` is keyed in settlement order,
-    exactly like the reference implementation
-    (:func:`reference_tree_to_destination`), which
-    :func:`accumulate_tree_loads` relies on for float-exact load sums.
+    A dict adapter over the array kernel
+    (:func:`repro.routing.arrays.feedback_tree` on a one-off
+    :func:`~repro.routing.arrays.level_plan`); the SSSP family's sweep
+    (:func:`repro.routing.base.feedback_sweep`) runs the kernel directly
+    on cached plans.
     """
     graph = net.switch_graph()
     root = int(graph.index[dest_switch])
     if root < 0:
-        # Destination is not a switch — defer to the reference, which
-        # tolerates it (no engine does this, but keep semantics equal).
-        return reference_tree_to_destination(net, dest_switch, weights, masked_links)
-    view = graph.masked(masked_links)
-    # Engines keep weights as plain float lists; anything else (numpy
-    # arrays, tuples) is converted once — list indexing wins in the core.
-    wts = weights if type(weights) is list else np.asarray(weights, dtype=float).tolist()
-    parent_arr, hops_arr, order = tree_core(view, root, wts)
+        raise ValueError(f"tree root {dest_switch} is not a switch")
+    plan = level_plan(graph.masked(masked_links), root, graph.host_switches)
+    wts = np.asarray(weights, dtype=np.float64)
+    levels = feedback_tree(plan, wts, np.empty(graph.num_switches))
     switches = graph.switches
     parent: dict[int, int] = {}
-    hops: dict[int, int] = {}
-    for u in order:
-        node = switches[u]
-        link_id = parent_arr[u]
-        if link_id >= 0:
-            parent[node] = link_id
-        hops[node] = hops_arr[u]
+    hops = {dest_switch: 0}
+    for h, (nodes, links) in enumerate(levels, start=1):
+        for u, link_id in zip(nodes.tolist(), links.tolist()):
+            parent[switches[u]] = link_id
+            hops[switches[u]] = h
     return parent, hops
-
-
-def reference_tree_to_destination(
-    net: Network,
-    dest_switch: int,
-    weights: Sequence[float],
-    masked_links: Collection[int] = (),
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The original object-graph Dijkstra, kept as the executable
-    specification the array core is equivalence-tested against
-    (``tests/test_routing_arrays.py``)."""
-    masked = masked_links if isinstance(masked_links, (set, frozenset)) else set(masked_links)
-
-    # dist keys: (hops, weight_sum); parent choice tie-broken explicitly.
-    dist: dict[int, tuple[int, float]] = {dest_switch: (0, 0.0)}
-    parent: dict[int, int] = {}
-    done: set[int] = set()
-    # heap entries: (hops, weight_sum, parent_link_weight, parent_link_id, node)
-    heap: list[tuple[int, float, float, int, int]] = [(0, 0.0, 0.0, -1, dest_switch)]
-
-    while heap:
-        hops_u, w_u, _, plink, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if plink >= 0:
-            parent[u] = plink
-        # Relax the *in*-links of u: a switch v with link v->u can reach
-        # the destination through u.
-        for link in net.in_links(u):
-            v = link.src
-            if v in done or not net.is_switch(v) or link.id in masked:
-                continue
-            cand = (hops_u + 1, w_u + float(weights[link.id]))
-            best = dist.get(v, UNREACHED)
-            if cand < best:
-                dist[v] = cand
-                heapq.heappush(
-                    heap, (cand[0], cand[1], float(weights[link.id]), link.id, v)
-                )
-            elif cand == best:
-                # Same (hops, weight): deterministic preference for the
-                # lighter, lower-id link.  Push it; the pop order of the
-                # full tuple settles the choice.
-                heapq.heappush(
-                    heap, (cand[0], cand[1], float(weights[link.id]), link.id, v)
-                )
-
-    hops = {u: d[0] for u, d in dist.items() if u in done}
-    return parent, hops
-
-
-def accumulate_tree_loads(
-    net: Network,
-    parent: dict[int, int],
-    hops: dict[int, int],
-    source_weight: dict[int, float],
-) -> dict[int, float]:
-    """Traffic each tree link would carry, given per-switch source weight.
-
-    ``source_weight[switch]`` is the demand injected at that switch
-    (e.g. its attached-terminal count for SSSP's "+1 per path", or the
-    summed communication-profile demand for PARX).  Processing switches
-    deepest-first pushes each switch's carry onto its parent link and
-    into its parent's carry, so the whole subtree accounting is O(V)
-    instead of O(paths x hops).
-    """
-    carry = dict(source_weight)
-    load: dict[int, float] = {}
-    # Deepest-first = stable sort of `parent` by descending hops.  The
-    # keys arrive in settlement order (non-decreasing hops), so bucketing
-    # by hop count and draining the levels top-down reproduces that
-    # order exactly — same float additions in the same sequence — at
-    # O(V) instead of a keyed sort.
-    levels: dict[int, list[int]] = {}
-    for u in parent:
-        levels.setdefault(hops[u], []).append(u)
-    link_dst = net.switch_graph().link_dst_list
-    carry_get = carry.get
-    load_get = load.get
-    for h in sorted(levels, reverse=True):
-        for u in levels[h]:
-            w = carry_get(u, 0.0)
-            if w == 0.0:
-                continue
-            link_id = parent[u]
-            load[link_id] = load_get(link_id, 0.0) + w
-            nxt = link_dst[link_id]
-            carry[nxt] = carry_get(nxt, 0.0) + w
-    return load

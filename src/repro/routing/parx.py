@@ -39,19 +39,26 @@ Q1 = bottom-left, Q2 = bottom-right, Q3 = top-right.
 Fault tolerance is limited exactly as the paper's footnote 7 warns:
 when masking plus real faults isolates a switch, the engine falls back
 to the unmasked graph for that destination LID and records a note on
-the fabric.
+the fabric.  A switch the unmasked graph cannot reach either is a
+partitioned plane: the engine refuses it with DFSSSP's
+:class:`~repro.core.errors.UnreachableError`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
+import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.ib.fabric import Fabric
-from repro.routing.base import RoutingEngine, install_tree
-from repro.routing.dijkstra import accumulate_tree_loads, tree_to_destination
-from repro.topology.hyperx import coord_in_half, hyperx_shape_of
+from repro.routing.base import (
+    FeedbackTree,
+    RoutingEngine,
+    feedback_sweep,
+    terminal_sources,
+)
+from repro.topology.hyperx import hyperx_shape_of
 from repro.topology.network import Network
 
 #: Rule R1-R4 half removed when routing toward each LID index.
@@ -129,88 +136,62 @@ class ParxRouting(RoutingEngine):
                 f"got shape {shape}"
             )
 
-    def compute(self, fabric: Fabric) -> None:
-        net = fabric.net
+    def lids_routed(self, fabric: Fabric, shape: tuple[int, ...]) -> int:
+        """How many LIDs per port to route; refuses too few."""
         if fabric.lidmap.lids_per_port != 4:
             raise ConfigurationError(
                 "PARX needs LMC=2 (four LIDs per port); the subnet manager "
                 f"assigned {fabric.lidmap.lids_per_port}"
             )
+        return 4
+
+    def fallback_note(self, nd: int, i: int) -> str:
+        """The fabric note recording a footnote-7 fallback."""
+        return (
+            f"parx: fallback to unmasked paths for node {nd} "
+            f"lid index {i} (rule {HALF_REMOVED_BY_LID[i]!r})"
+        )
+
+    def compute(self, fabric: Fabric) -> None:
+        feedback_sweep(fabric, self.feedback_trees(fabric))
+
+    def feedback_trees(self, fabric: Fabric) -> Iterator[FeedbackTree]:
+        """Every LID of every node, profiled destinations first.
+
+        LID index ``i`` routes with rule ``i``'s half masked (indices
+        past the rules route unmasked), falling back to the unmasked
+        graph (footnote 7).  Edge updates (Algorithm 1) are demand
+        weighted for profiled destinations, +1 per path otherwise.
+        """
+        net = fabric.net
         self.check_topology(net)
         shape = hyperx_shape_of(net)
-        masks = {
-            i: _half_internal_links(net, shape, half)
-            for i, half in HALF_REMOVED_BY_LID.items()
-        }
-        weights = [1.0] * len(net.links)
-
+        n_lids = self.lids_routed(fabric, shape)
+        graph = net.switch_graph()
+        views = [graph.masked(m) for m in half_masks(net, shape)]
+        views += [graph] * (n_lids - len(views))
         # Demand toward each destination node, aggregated per source.
         demand_to: dict[int, dict[int, int]] = {}
         for src, row in self.demands.items():
             for dst, w in row.items():
                 if w > 0:
                     demand_to.setdefault(dst, {})[src] = w
-
         terminal_set = set(net.terminals)
         optimized = sorted(d for d in self.demands if d in terminal_set)
         optimized_set = set(optimized)
         remaining = [t for t in net.terminals if t not in optimized_set]
-
-        # The unprofiled source weights (attached-terminal counts) are
-        # destination-independent; build them once, not per tree.
-        graph = net.switch_graph()
-        base_sources = {
-            graph.switches[u]: float(graph.attached_counts[u])
-            for u in graph.host_switches.tolist()
-        }
-
-        for nd in optimized:
-            self._route_node(
-                fabric, nd, masks, weights, demand_to.get(nd, {}), base_sources
-            )
-        for nd in remaining:
-            self._route_node(fabric, nd, masks, weights, None, base_sources)
-
-    # --- one destination node, all four LIDs --------------------------------
-    def _route_node(
-        self,
-        fabric: Fabric,
-        nd: int,
-        masks: dict[int, frozenset[int]],
-        weights: list[float],
-        demand: dict[int, int] | None,
-        base_sources: dict[int, float],
-    ) -> None:
-        net = fabric.net
-        dsw = net.attached_switch(nd)
-        for i in range(4):
-            parent, hops = tree_to_destination(net, dsw, weights, masks[i])
-            if not _covers_all_terminals(net, parent, dsw):
-                # Footnote 7: masking + faults isolated a switch; fall
-                # back to the unmasked graph for this LID.
-                parent, hops = tree_to_destination(net, dsw, weights)
-                fabric.notes.append(
-                    f"parx: fallback to unmasked paths for node {nd} "
-                    f"lid index {i} (rule {HALF_REMOVED_BY_LID[i]!r})"
-                )
-            install_tree(fabric, fabric.lidmap.lid(nd, i), parent)
-
-            # Edge update before the next round (Algorithm 1): demand
-            # weighted for profiled destinations, +1 per path otherwise.
-            if demand is not None:
-                sources: dict[int, float] = {}
-                for src, w in demand.items():
-                    if src == nd:
-                        continue
-                    sw = net.attached_switch(src)
-                    sources[sw] = sources.get(sw, 0.0) + float(w)
+        for nd in optimized + remaining:
+            root = int(graph.index[net.attached_switch(nd)])
+            if nd in optimized_set:
+                sources = np.zeros(graph.num_switches)
+                for src, w in demand_to.get(nd, {}).items():
+                    if src != nd:
+                        sources[graph.index[net.attached_switch(src)]] += float(w)
             else:
-                sources = dict(base_sources)
-                sources[dsw] = max(0.0, sources.get(dsw, 0.0) - 1.0)
-            for link_id, load in accumulate_tree_loads(
-                net, parent, hops, sources
-            ).items():
-                weights[link_id] += load
+                sources = terminal_sources(graph, root)
+            for i in range(n_lids):
+                yield (fabric.lidmap.lid(nd, i), root, views[i], graph,
+                       self.fallback_note(nd, i), sources)
 
 
 def lid_choices(
@@ -226,26 +207,22 @@ def lid_choices(
     return table[(src_quadrant, dst_quadrant)]
 
 
-def _half_internal_links(
-    net: Network, shape: tuple[int, int], half: str
-) -> frozenset[int]:
-    """Directed switch-switch links with *both* endpoints in ``half``."""
-    masked: set[int] = set()
-    for link in net.iter_links(enabled_only=False):
-        if not (net.is_switch(link.src) and net.is_switch(link.dst)):
-            continue
-        c_src = net.node_meta(link.src)["coord"]
-        c_dst = net.node_meta(link.dst)["coord"]
-        if coord_in_half(c_src, shape, half) and coord_in_half(c_dst, shape, half):
-            masked.add(link.id)
-    return frozenset(masked)
+def half_masks(net: Network, shape: tuple[int, ...]) -> list[frozenset[int]]:
+    """The link masks of the ``2N`` rules of an N-D lattice.
 
-
-def _covers_all_terminals(net: Network, parent: dict[int, int], dsw: int) -> bool:
-    """Does the tree reach every switch that hosts terminals?"""
+    Rule ``2d + h`` masks the directed switch-switch links with *both*
+    endpoints in half ``h`` (0 lower, 1 upper) of dimension ``d`` — for
+    N = 2 exactly rules R1-R4 (left, right, top, bottom).
+    """
     graph = net.switch_graph()
-    for u in graph.host_switches.tolist():
-        sw = graph.switches[u]
-        if sw != dsw and sw not in parent:
-            return False
-    return True
+    coords = np.array([net.node_meta(sw)["coord"] for sw in graph.switches])
+    upper = coords >= np.asarray(shape) // 2
+    src = graph.index[graph.link_src_node]
+    dst = graph.link_dst_index
+    sw_sw = np.flatnonzero((src >= 0) & (dst >= 0))
+    masks = []
+    for rule in range(2 * len(shape)):
+        in_half = upper[:, rule // 2] == bool(rule % 2)
+        inside = in_half[src[sw_sw]] & in_half[dst[sw_sw]]
+        masks.append(frozenset(sw_sw[inside].tolist()))
+    return masks

@@ -31,8 +31,6 @@ subnet manager's VL layering — is shared with the 2-D engine.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.core.errors import ConfigurationError
@@ -40,8 +38,7 @@ from repro.core.rng import make_rng
 from repro.core.units import BFO_PML_OVERHEAD
 from repro.ib.fabric import Fabric
 from repro.mpi.pml import Pml
-from repro.routing.base import RoutingEngine, install_tree
-from repro.routing.dijkstra import accumulate_tree_loads, tree_to_destination
+from repro.routing.parx import ParxRouting
 from repro.topology.hyperx import hyperx_shape_of
 from repro.topology.network import Network
 
@@ -79,7 +76,7 @@ def nd_lid_choices(
     )
 
 
-class NdParxRouting(RoutingEngine):
+class NdParxRouting(ParxRouting):
     """PARX for N-dimensional HyperX lattices with even dimensions.
 
     Needs ``2N`` LIDs per port, i.e. the subnet manager must be run with
@@ -95,24 +92,10 @@ class NdParxRouting(RoutingEngine):
     """
 
     name = "parx-nd"
-    provides_deadlock_freedom = True
     #: Four LIDs per port (enough for the 2-D case's 2N = 4 rules); the
     #: N-D engine keeps sequential LIDs — the quadrant encoding does not
     #: generalise past two dimensions.
     sm_defaults = {"lmc": 2}
-
-    def __init__(
-        self, demands: Mapping[int, Mapping[int, int]] | None = None
-    ) -> None:
-        self.demands: dict[int, dict[int, int]] = {
-            src: dict(row) for src, row in (demands or {}).items()
-        }
-        for src, row in self.demands.items():
-            for dst, w in row.items():
-                if not 0 <= w <= 255:
-                    raise ConfigurationError(
-                        f"demand {src}->{dst} = {w} outside 0..255"
-                    )
 
     def check_topology(self, net: Network) -> None:
         """N-D PARX needs a HyperX lattice with even dimensions."""
@@ -122,10 +105,7 @@ class NdParxRouting(RoutingEngine):
                 f"N-D PARX needs even dimensions, got shape {shape}"
             )
 
-    def compute(self, fabric: Fabric) -> None:
-        net = fabric.net
-        self.check_topology(net)
-        shape = hyperx_shape_of(net)
+    def lids_routed(self, fabric: Fabric, shape: tuple[int, ...]) -> int:
         n_rules = 2 * len(shape)
         if fabric.lidmap.lids_per_port < n_rules:
             raise ConfigurationError(
@@ -133,71 +113,10 @@ class NdParxRouting(RoutingEngine):
                 f"subnet manager assigned {fabric.lidmap.lids_per_port} "
                 f"(use lmc >= {int(np.ceil(np.log2(n_rules)))})"
             )
-        masks = {
-            r: _half_internal_links(net, shape, r // 2, r % 2)
-            for r in range(n_rules)
-        }
-        weights = [1.0] * len(net.links)
+        return fabric.lidmap.lids_per_port
 
-        demand_to: dict[int, dict[int, int]] = {}
-        for src, row in self.demands.items():
-            for dst, w in row.items():
-                if w > 0:
-                    demand_to.setdefault(dst, {})[src] = w
-
-        terminal_set = set(net.terminals)
-        optimized = sorted(d for d in self.demands if d in terminal_set)
-        optimized_set = set(optimized)
-        remaining = [t for t in net.terminals if t not in optimized_set]
-        graph = net.switch_graph()
-        base_sources = {
-            graph.switches[u]: float(graph.attached_counts[u])
-            for u in graph.host_switches.tolist()
-        }
-        for nd in optimized:
-            self._route_node(
-                fabric, nd, masks, weights, demand_to.get(nd, {}), base_sources
-            )
-        for nd in remaining:
-            self._route_node(fabric, nd, masks, weights, None, base_sources)
-
-    def _route_node(
-        self,
-        fabric: Fabric,
-        nd: int,
-        masks: dict[int, frozenset[int]],
-        weights: list[float],
-        demand: dict[int, int] | None,
-        base_sources: dict[int, float],
-    ) -> None:
-        net = fabric.net
-        dsw = net.attached_switch(nd)
-        n_rules = len(masks)
-        for i in range(fabric.lidmap.lids_per_port):
-            # Surplus LIDs beyond the 2N rules route minimally unmasked.
-            mask = masks[i] if i < n_rules else frozenset()
-            parent, hops = tree_to_destination(net, dsw, weights, mask)
-            if not _covers_all_terminals(net, parent, dsw):
-                parent, hops = tree_to_destination(net, dsw, weights)
-                fabric.notes.append(
-                    f"parx-nd: fallback to unmasked paths for node {nd} "
-                    f"lid index {i}"
-                )
-            install_tree(fabric, fabric.lidmap.lid(nd, i), parent)
-
-            if demand is not None:
-                sources: dict[int, float] = {}
-                for src, w in demand.items():
-                    if src != nd:
-                        sw = net.attached_switch(src)
-                        sources[sw] = sources.get(sw, 0.0) + float(w)
-            else:
-                sources = dict(base_sources)
-                sources[dsw] = max(0.0, sources.get(dsw, 0.0) - 1.0)
-            for link_id, load in accumulate_tree_loads(
-                net, parent, hops, sources
-            ).items():
-                weights[link_id] += load
+    def fallback_note(self, nd: int, i: int) -> str:
+        return f"parx-nd: fallback to unmasked paths for node {nd} lid index {i}"
 
 
 class NdParxPml(Pml):
@@ -235,29 +154,3 @@ class NdParxPml(Pml):
     def reset(self) -> None:
         self._rng = make_rng(self._seed)
 
-
-def _half_internal_links(
-    net: Network, shape: tuple[int, ...], dim: int, half: int
-) -> frozenset[int]:
-    """Directed switch links with both endpoints in ``half`` of ``dim``."""
-    masked: set[int] = set()
-    for link in net.iter_links(enabled_only=False):
-        if not (net.is_switch(link.src) and net.is_switch(link.dst)):
-            continue
-        c_src = net.node_meta(link.src)["coord"]
-        c_dst = net.node_meta(link.dst)["coord"]
-        if (
-            half_of(c_src, shape, dim) == half
-            and half_of(c_dst, shape, dim) == half
-        ):
-            masked.add(link.id)
-    return frozenset(masked)
-
-
-def _covers_all_terminals(net: Network, parent: dict[int, int], dsw: int) -> bool:
-    graph = net.switch_graph()
-    for u in graph.host_switches.tolist():
-        sw = graph.switches[u]
-        if sw != dsw and sw not in parent:
-            return False
-    return True

@@ -15,11 +15,15 @@ DFSSSP exists.
 
 from __future__ import annotations
 
+from typing import Iterator
 
-from repro.core.errors import UnreachableError
 from repro.ib.fabric import Fabric
-from repro.routing.base import RoutingEngine, install_tree
-from repro.routing.dijkstra import accumulate_tree_loads, tree_to_destination
+from repro.routing.base import (
+    FeedbackTree,
+    RoutingEngine,
+    feedback_sweep,
+    terminal_sources,
+)
 
 
 class SsspRouting(RoutingEngine):
@@ -29,31 +33,12 @@ class SsspRouting(RoutingEngine):
     provides_deadlock_freedom = False
 
     def compute(self, fabric: Fabric) -> None:
+        feedback_sweep(fabric, self.feedback_trees(fabric))
+
+    def feedback_trees(self, fabric: Fabric) -> Iterator[FeedbackTree]:
+        """Every terminal LID in order, unmasked, "+1 per path"."""
         net = fabric.net
-        weights = [1.0] * len(net.links)
         graph = net.switch_graph()
-        host_switches = [graph.switches[u] for u in graph.host_switches.tolist()]
-        # Injected demand per switch = one unit per attached terminal
-        # ("+1 per path", every terminal sources one path per dest).
-        base_sources = {
-            sw: float(graph.attached_counts[u])
-            for u, sw in zip(graph.host_switches.tolist(), host_switches)
-        }
         for dlid in fabric.lidmap.terminal_lids(net):
-            dst = fabric.lidmap.node_of(dlid)
-            dsw = net.attached_switch(dst)
-            parent, hops = tree_to_destination(net, dsw, weights)
-            for sw in host_switches:
-                if sw != dsw and sw not in parent:
-                    raise UnreachableError(
-                        f"switch {sw} cannot reach destination lid {dlid}"
-                    )
-            install_tree(fabric, dlid, parent)
-            sources = dict(base_sources)
-            # The destination's own switch sources one path less (the
-            # destination terminal does not route to itself).
-            sources[dsw] = max(0.0, sources.get(dsw, 0.0) - 1.0)
-            for link_id, load in accumulate_tree_loads(
-                net, parent, hops, sources
-            ).items():
-                weights[link_id] += load
+            root = int(graph.index[net.attached_switch(fabric.lidmap.node_of(dlid))])
+            yield dlid, root, graph, None, "", terminal_sources(graph, root)

@@ -48,15 +48,12 @@ class SwitchGraph:
 
     Switches are addressed by *dense index* (position in
     :attr:`Network.switches` order); :attr:`index` maps node ids to dense
-    indices (-1 for terminals).  The flat lists (``in_ptr_list`` etc.)
-    mirror the numpy arrays for the pure-Python Dijkstra hot loop, where
-    list indexing beats numpy scalar extraction.
+    indices (-1 for terminals).
     """
 
     __slots__ = (
         "version", "num_switches", "switches", "index",
         "in_ptr", "in_src", "in_link",
-        "in_ptr_list", "in_src_list", "in_link_list", "link_dst_list",
         "link_dst_index", "link_dst_node", "link_src_node", "link_enabled",
         "host_index", "hosts_mask", "attached_counts", "host_switches",
         "_masked_cache",
@@ -91,7 +88,6 @@ class SwitchGraph:
         self.link_dst_node = link_dst_node
         self.link_src_node = link_src_node
         self.link_enabled = link_enabled
-        self.link_dst_list = link_dst_node.tolist()
 
         in_ptr = [0]
         in_src: list[int] = []
@@ -101,9 +97,6 @@ class SwitchGraph:
                 in_src.append(si)
                 in_link.append(lid)
             in_ptr.append(len(in_src))
-        self.in_ptr_list = in_ptr
-        self.in_src_list = in_src
-        self.in_link_list = in_link
         self.in_ptr = np.asarray(in_ptr, dtype=np.int64)
         self.in_src = np.asarray(in_src, dtype=np.int64)
         self.in_link = np.asarray(in_link, dtype=np.int64)
@@ -160,7 +153,6 @@ class MaskedSwitchGraph:
     __slots__ = (
         "version", "num_switches", "switches", "index",
         "in_ptr", "in_src", "in_link",
-        "in_ptr_list", "in_src_list", "in_link_list",
         "hosts_mask", "host_switches",
     )
 
@@ -171,24 +163,13 @@ class MaskedSwitchGraph:
         self.index = graph.index
         self.hosts_mask = graph.hosts_mask
         self.host_switches = graph.host_switches
-        in_ptr = [0]
-        in_src: list[int] = []
-        in_link: list[int] = []
-        src, lnk, ptr = graph.in_src_list, graph.in_link_list, graph.in_ptr_list
-        for u in range(graph.num_switches):
-            for k in range(ptr[u], ptr[u + 1]):
-                if lnk[k] not in masked:
-                    in_src.append(src[k])
-                    in_link.append(lnk[k])
-            in_ptr.append(len(in_src))
-        self.in_ptr_list = in_ptr
-        self.in_src_list = in_src
-        self.in_link_list = in_link
-        # Numpy mirrors for the batched multi-destination kernel
-        # (tree_core_batch), matching SwitchGraph's layout.
-        self.in_ptr = np.asarray(in_ptr, dtype=np.int64)
-        self.in_src = np.asarray(in_src, dtype=np.int64)
-        self.in_link = np.asarray(in_link, dtype=np.int64)
+        n = graph.num_switches
+        keep = ~np.isin(graph.in_link, np.fromiter(masked, np.int64, len(masked)))
+        owner = np.repeat(np.arange(n), np.diff(graph.in_ptr))
+        self.in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[keep], minlength=n), out=self.in_ptr[1:])
+        self.in_src = graph.in_src[keep]
+        self.in_link = graph.in_link[keep]
 
 
 class Link:

@@ -9,13 +9,18 @@ benchmarks compare the production code against them, and nothing in
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Set
+import heapq
+from typing import Any, Collection, Iterable, Mapping, Sequence, Set
 
 import numpy as np
 
-from repro.core.errors import DeadlockError, SimulationError
+from repro.core.errors import DeadlockError, SimulationError, UnreachableError
 from repro.ib.cdg import addition_creates_cycle
+from repro.routing.base import install_tree
 from repro.sim.fairness import _EPS
+
+#: Hop count marking an unreached switch in :func:`tree_core`'s arrays.
+UNREACHED_HOPS = 1 << 30
 
 
 def reference_max_min_fair_rates(
@@ -143,3 +148,215 @@ def _merge(adj: dict[int, set[int]], deps: Set[tuple[int, int]]) -> None:
     for a, b in deps:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set())
+
+
+def tree_core(
+    graph: Any,
+    root: int,
+    weights: Sequence[float],
+) -> tuple[list[int], list[int], list[int]]:
+    """The per-destination heap Dijkstra over a CSR graph view.
+
+    The kernel the SSSP family swept with before the hop-level plans
+    (:func:`repro.routing.arrays.feedback_tree`), which must reproduce
+    its parent links, hop counts and settlement order bit for bit.  The
+    heap only receives *strictly improving* entries of the per-node best
+    ``(hops, weight_sum, parent_link_weight, parent_link_id)``, so the
+    first pop of a node settles that full-tuple minimum.
+
+    Returns dense ``(parent_link, hops, order)`` lists over switch
+    index: the chosen out-link id (-1 for the root and unreached
+    switches), the hop count (:data:`UNREACHED_HOPS` when unreached) and
+    the settlement order.
+    """
+    n = graph.num_switches
+    hops = [UNREACHED_HOPS] * n
+    wsum = [0.0] * n
+    plw = [0.0] * n
+    plid = [-1] * n
+    parent = [-1] * n
+    done = [False] * n
+    order: list[int] = []
+    hops[root] = 0
+    heap: list[tuple[int, float, float, int, int]] = [(0, 0.0, 0.0, -1, root)]
+    ptr, src, lnk = _csr_lists(graph)
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        h_u, w_u, _, pl, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        parent[u] = pl
+        order.append(u)
+        h_v = h_u + 1
+        for k in range(ptr[u], ptr[u + 1]):
+            v = src[k]
+            if done[v]:
+                continue
+            lid = lnk[k]
+            wt = weights[lid]
+            h0 = hops[v]
+            if h_v < h0:
+                better = True
+            elif h_v > h0:
+                better = False
+            else:
+                w_v = w_u + wt
+                w0 = wsum[v]
+                if w_v < w0:
+                    better = True
+                elif w_v > w0:
+                    better = False
+                else:
+                    p0 = plw[v]
+                    if wt < p0:
+                        better = True
+                    elif wt > p0:
+                        better = False
+                    else:
+                        better = lid < plid[v] or plid[v] < 0
+            if better:
+                hops[v] = h_v
+                wsum[v] = w_u + wt
+                plw[v] = wt
+                plid[v] = lid
+                push(heap, (h_v, w_u + wt, wt, lid, v))
+    return parent, hops, order
+
+
+def _csr_lists(graph: Any) -> tuple[list[int], list[int], list[int]]:
+    """The in-link CSR as plain lists (list indexing beats numpy scalar
+    extraction in the heap loop by ~3x), memoised per view object as
+    the graph views themselves once kept them."""
+    lists = _CSR_LISTS.get(id(graph))
+    if lists is None or lists[0] is not graph:
+        if len(_CSR_LISTS) >= 64:
+            _CSR_LISTS.clear()
+        lists = (graph, graph.in_ptr.tolist(), graph.in_src.tolist(),
+                 graph.in_link.tolist())
+        _CSR_LISTS[id(graph)] = lists
+    return lists[1], lists[2], lists[3]
+
+
+_CSR_LISTS: dict[int, tuple] = {}
+
+
+def reference_tree_to_destination(
+    net: Any,
+    dest_switch: int,
+    weights: Sequence[float],
+    masked_links: Collection[int] = (),
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The original object-graph Dijkstra over :class:`Link` objects.
+
+    The executable specification of
+    :func:`repro.routing.dijkstra.tree_to_destination`: same
+    ``(parent, hops)`` dicts, keyed in settlement order.
+    """
+    masked = masked_links if isinstance(masked_links, (set, frozenset)) else set(masked_links)
+
+    # dist keys: (hops, weight_sum); parent choice tie-broken explicitly.
+    dist: dict[int, tuple[int, float]] = {dest_switch: (0, 0.0)}
+    parent: dict[int, int] = {}
+    done: set[int] = set()
+    # heap entries: (hops, weight_sum, parent_link_weight, parent_link_id, node)
+    heap: list[tuple[int, float, float, int, int]] = [(0, 0.0, 0.0, -1, dest_switch)]
+    unreached = (1 << 30, float("inf"))
+
+    while heap:
+        hops_u, w_u, _, plink, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if plink >= 0:
+            parent[u] = plink
+        # Relax the *in*-links of u: a switch v with link v->u can reach
+        # the destination through u.
+        for link in net.in_links(u):
+            v = link.src
+            if v in done or not net.is_switch(v) or link.id in masked:
+                continue
+            cand = (hops_u + 1, w_u + float(weights[link.id]))
+            best = dist.get(v, unreached)
+            if cand < best:
+                dist[v] = cand
+                heapq.heappush(
+                    heap, (cand[0], cand[1], float(weights[link.id]), link.id, v)
+                )
+            elif cand == best:
+                # Same (hops, weight): deterministic preference for the
+                # lighter, lower-id link.  Push it; the pop order of the
+                # full tuple settles the choice.
+                heapq.heappush(
+                    heap, (cand[0], cand[1], float(weights[link.id]), link.id, v)
+                )
+
+    hops = {u: d[0] for u, d in dist.items() if u in done}
+    return parent, hops
+
+
+def accumulate_tree_loads(
+    net: Any,
+    parent: dict[int, int],
+    hops: dict[int, int],
+    source_weight: dict[int, float],
+) -> dict[int, float]:
+    """Traffic each tree link carries, given per-switch source weight.
+
+    The dict specification of :func:`repro.routing.arrays.feed_tree_loads`:
+    switches drain deepest first, each level in ``parent``'s key
+    (settlement) order, pushing a switch's carry onto its parent link
+    and into its parent's carry.
+    """
+    carry = dict(source_weight)
+    load: dict[int, float] = {}
+    levels: dict[int, list[int]] = {}
+    for u in parent:
+        levels.setdefault(hops[u], []).append(u)
+    link_dst = net.switch_graph().link_dst_node.tolist()
+    for h in sorted(levels, reverse=True):
+        for u in levels[h]:
+            w = carry.get(u, 0.0)
+            if w == 0.0:
+                continue
+            link_id = parent[u]
+            load[link_id] = load.get(link_id, 0.0) + w
+            nxt = link_dst[link_id]
+            carry[nxt] = carry.get(nxt, 0.0) + w
+    return load
+
+
+def reference_feedback_sweep(fabric: Any, trees: Iterable[tuple]) -> None:
+    """The heap sweep :func:`repro.routing.base.feedback_sweep` replaced.
+
+    Takes the same per-LID declarations (an engine's
+    ``feedback_trees(fabric)``) and routes each with :func:`tree_core`,
+    installs it through ``install_tree`` and feeds the dict loads back
+    into a plain float weight list — the loop SSSP, PARX and PARX-ND
+    each ran before.
+    """
+    net = fabric.net
+    graph = net.switch_graph()
+    switches = graph.switches
+    hosts = graph.host_switches.tolist()
+    weights = [1.0] * len(net.links)
+    for dlid, root, view, fallback, note, sources in trees:
+        parent_arr, hops_arr, order = tree_core(view, root, weights)
+        if fallback is not None and any(
+            parent_arr[u] < 0 for u in hosts if u != root
+        ):
+            parent_arr, hops_arr, order = tree_core(fallback, root, weights)
+            fabric.notes.append(note)
+        for u in hosts:
+            if u != root and parent_arr[u] < 0:
+                raise UnreachableError(
+                    f"switch {switches[u]} cannot reach destination lid {dlid}"
+                )
+        parent = {switches[u]: parent_arr[u] for u in order if parent_arr[u] >= 0}
+        hops = {switches[u]: hops_arr[u] for u in order}
+        install_tree(fabric, dlid, parent)
+        source_weight = {switches[u]: float(w) for u, w in enumerate(sources)}
+        for link_id, load in accumulate_tree_loads(
+            net, parent, hops, source_weight
+        ).items():
+            weights[link_id] += load

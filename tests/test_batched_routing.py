@@ -12,7 +12,9 @@ together three ways:
   a batched sweep against a forced-sequential sweep, for every engine
   that declares ``supports_batched_sweep`` — full sweeps, fallbacks,
   and incremental re-sweeps after cable faults;
-* frozen 672-node golden LFT digests per batched engine.
+* frozen 672-node golden LFT digests per batched engine, and for the
+  SSSP family (which routes one LID at a time) golden digests, lane
+  counts and notes recorded before its kernel changed.
 
 The chunked dense passes (destination-chunked table walkers, load
 estimator and what-if incidence scan) are pinned byte-identical against
@@ -48,7 +50,9 @@ from repro.routing.base import (
     set_batched_sweep,
 )
 from repro.routing.dijkstra import tree_to_destination
-from repro.topology.hyperx import hyperx
+from repro.routing.parx import ParxRouting
+from repro.routing.parx_nd import NdParxRouting
+from repro.topology.hyperx import hyperx, hyperx_shape_of
 from repro.topology.t2hx import t2hx_hyperx
 from repro.topology.torus import torus
 
@@ -216,6 +220,87 @@ class TestGolden672Digests:
         want_digest, want_vls = GOLDEN_672[name]
         assert digest == want_digest
         assert fab.num_vls == want_vls
+
+
+#: The SSSP family (weight feedback between destinations, so no
+#: destination batching): sha256 of ``Fabric.dump_lft()``, lane count,
+#: note count and sha256 of the joined ``fabric.notes`` per case,
+#: recorded on the heap-Dijkstra sweep before the array-native feedback
+#: kernel replaced it.  ``parx-profiled-fallback`` routes a seeded
+#: synthetic profile on a plane whose corner switch is cut off from the
+#: right half, so all 672 LID0 trees take the footnote-7 fallback.
+GOLDEN_SSSP_FAMILY = {
+    "sssp": (
+        "387031dad658cb6f78e14ff9a42b9ed068a14deadeab30ed0c2a7c07e87cfa1e",
+        1, 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dfsssp": (
+        "367f9138661e11127e13b6ad11531688bbd4a45241397ad14ab2f9877e333cde",
+        5, 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "parx": (
+        "e6bef5d5472918936bdb258bda3102309fad1c421d9a2db93bec92e21605b4c7",
+        5, 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "parx-profiled-fallback": (
+        "1e8e898432a0e4288eb511a9758caf709858ecebc26ac9a495eca6c2b5d7497f",
+        8, 672,
+        "b81a981a6a307aa269ff13a32aebca2b3659dd8629d417e43ec973b8ee3c9893"),
+    "parx-nd-4x4x4": (
+        "1e9cc2688113b48dc1bef6befc43ce3f37b98a9b1187487f8f502e06e75c6e9d",
+        12, 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _isolate_corner_from_right_half(net):
+    """Cut the corner switch's dim-0 cables into the right half, so the
+    "remove left half" rule (R1) leaves it unreachable and every LID0
+    tree takes the footnote-7 fallback."""
+    corner = net.switches[0]
+    assert net.node_meta(corner)["coord"] == (0, 0)
+    half = hyperx_shape_of(net)[0] // 2
+    for link in list(net.out_links(corner)):
+        if (link.enabled and net.is_switch(link.dst)
+                and link.meta.get("dim") == 0
+                and net.node_meta(link.dst)["coord"][0] >= half):
+            net.disable_cable(link.id)
+
+
+def _synthetic_profile(net, seed=7, pairs=400):
+    """Seeded normalised (1..255) demands between random terminal pairs."""
+    rng = np.random.default_rng(seed)
+    terms = net.terminals
+    demands = {}
+    for _ in range(pairs):
+        a, b = rng.choice(len(terms), size=2, replace=False)
+        demands.setdefault(terms[a], {})[terms[b]] = int(rng.integers(1, 256))
+    return demands
+
+
+def _family_fabric(case):
+    """Route one SSSP-family pin case; see ``GOLDEN_SSSP_FAMILY``."""
+    if case == "parx-nd-4x4x4":
+        net = hyperx((4, 4, 4), 1)
+        return OpenSM(net, lmc=3, max_vls=16).run(NdParxRouting())
+    net = t2hx_hyperx(with_faults=True, seed=1, scale=1)
+    if case == "parx-profiled-fallback":
+        _isolate_corner_from_right_half(net)
+        return OpenSM(net).run(ParxRouting(_synthetic_profile(net)))
+    return OpenSM(net).run(create_engine(case))
+
+
+def _notes_digest(fab):
+    return hashlib.sha256("\n".join(fab.notes).encode()).hexdigest()
+
+
+class TestGoldenSsspFamily:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SSSP_FAMILY))
+    def test_family_lft_bytes_and_notes_are_frozen(self, case):
+        fab = _family_fabric(case)
+        digest = hashlib.sha256(fab.dump_lft().encode()).hexdigest()
+        want = GOLDEN_SSSP_FAMILY[case]
+        assert (digest, fab.num_vls, len(fab.notes), _notes_digest(fab)) == want
 
 
 class TestChunkedPasses:

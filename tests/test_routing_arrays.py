@@ -3,7 +3,7 @@
 Every performance-critical rewrite in the sweep pipeline keeps its
 original implementation alongside as an executable specification:
 
-* array Dijkstra core           vs ``reference_tree_to_destination``
+* hop-level tree kernel         vs ``reference_tree_to_destination``
 * Pearce-Kelly lane layering    vs ``reference_assign_layers``
 * dense CDG column extraction   vs ``_dest_dependencies_generic``
 * bulk matrix path resolution   vs per-pair ``_snapshot_paths``
@@ -28,7 +28,12 @@ from repro.analysis.load import (
     estimate_link_loads,
 )
 from repro.core.errors import DeadlockError, RoutingError, TopologyError
-from repro.ib.cdg import _dest_dependencies_generic, dest_dependencies_from_tables
+from repro.core.chunking import chunk_bytes
+from repro.ib.cdg import (
+    _dest_dependencies_generic,
+    dependencies_by_dest,
+    dest_dependencies_from_tables,
+)
 from repro.ib.deadlock import assign_layers
 from repro.ib.fabric import FABRIC_FORMAT_VERSION, Fabric
 from repro.ib.subnet_manager import (
@@ -39,16 +44,13 @@ from repro.ib.subnet_manager import (
 )
 from repro.ib.tables import NO_ENTRY, ForwardingTables
 from repro.routing.dfsssp import DfssspRouting
-from repro.routing.dijkstra import (
-    reference_tree_to_destination,
-    tree_to_destination,
-)
+from repro.routing.dijkstra import tree_to_destination
 from repro.routing.minhop import MinHopRouting
 from repro.topology.fattree import k_ary_n_tree
 from repro.topology.faults import FabricEvent, inject_cable_faults
 from repro.topology.hyperx import hyperx
 from repro.topology.torus import torus
-from tests.oracles import reference_assign_layers
+from tests.oracles import reference_assign_layers, reference_tree_to_destination
 
 
 def _small_nets():
@@ -210,6 +212,22 @@ class TestDenseCdgExtraction:
             assert dest_dependencies_from_tables(fabric, dlid) == \
                 _dest_dependencies_generic(net, fabric.tables, dlid)
 
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_one_pass_matches_generic_at_any_chunking(self, budget):
+        net = hyperx((4, 4), 2)
+        fabric = OpenSM(net, lmc=2).run(DfssspRouting())
+        inject_cable_faults(net, 2, seed=8)
+        resweep(fabric, DfssspRouting())
+        dlids = fabric.lidmap.terminal_lids(net)[::-1]
+        want = {d: _dest_dependencies_generic(net, fabric.tables, d) for d in dlids}
+        if budget is None:
+            got = dependencies_by_dest(fabric, dlids)
+        else:
+            with chunk_bytes(budget):
+                got = dependencies_by_dest(fabric, dlids)
+        assert got == want
+        assert list(got) == dlids
+
     def test_foreign_rows_fold_in(self):
         net = hyperx((2, 2), 1)
         fabric = OpenSM(net).run(MinHopRouting())
@@ -218,6 +236,10 @@ class TestDenseCdgExtraction:
         fabric.tables[fake_switch] = {dlid: _switch_links(net)[0]}
         assert dest_dependencies_from_tables(fabric, dlid) == \
             _dest_dependencies_generic(net, fabric.tables, dlid)
+        dlids = fabric.lidmap.terminal_lids(net)
+        assert dependencies_by_dest(fabric, dlids) == {
+            d: _dest_dependencies_generic(net, fabric.tables, d) for d in dlids
+        }
 
 
 class TestForwardingTablesFacade:

@@ -12,11 +12,12 @@ from repro.routing import (
     UpDownRouting,
     audit_fabric,
 )
-from repro.routing.dijkstra import accumulate_tree_loads, tree_to_destination
+from repro.routing.dijkstra import tree_to_destination
 from repro.core.errors import RoutingError
 from repro.topology.faults import inject_cable_faults
 from repro.topology.fattree import k_ary_n_tree, three_level_fattree
 from repro.topology.hyperx import hyperx
+from tests.oracles import accumulate_tree_loads
 
 
 class TestDijkstra:

@@ -9,9 +9,10 @@ import itertools
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, UnreachableError
 from repro.ib.subnet_manager import OpenSM
 from repro.routing import audit_fabric
+from repro.routing.dfsssp import DfssspRouting
 from repro.routing.parx import (
     HALF_REMOVED_BY_LID,
     LARGE_LID_CHOICE,
@@ -19,6 +20,8 @@ from repro.routing.parx import (
     ParxRouting,
     lid_choices,
 )
+from repro.routing.parx_nd import NdParxRouting
+from repro.routing.registry import sm_kwargs_for
 from repro.topology.faults import inject_cable_faults
 from repro.topology.hyperx import hyperx, hyperx_quadrant
 from repro.topology.t2hx import t2hx_hyperx
@@ -196,6 +199,25 @@ class TestFaultFallback:
         fabric = OpenSM(net, lmc=2, lid_policy="quadrant").run(ParxRouting())
         assert any("fallback" in n for n in fabric.notes)
         assert audit_fabric(fabric).clean
+
+    @pytest.mark.parametrize("engine", [DfssspRouting, ParxRouting, NdParxRouting])
+    def test_partitioned_plane_raises_like_dfsssp(self, engine):
+        """A switch with every cable gone is unreachable even unmasked:
+        the PARX engines must refuse with DFSSSP's error (first missing
+        host switch, first failing LID), not install partial columns
+        behind a pile of fallback notes."""
+        net = hyperx((4, 4), 1)
+        victim = net.switches[0]
+        for link in list(net.out_links(victim)):
+            if net.is_switch(link.dst):
+                net.disable_cable(link.id)
+        sm = OpenSM(net, **sm_kwargs_for(engine.name))
+        first = net.terminals[0]
+        assert net.attached_switch(first) == victim
+        want = (f"switch {net.switches[1]} cannot reach destination lid "
+                f"{sm.lidmap.lid(first, 0)}$")
+        with pytest.raises(UnreachableError, match=want):
+            sm.run(engine())
 
     def test_paper_fault_count_routable(self):
         net = t2hx_hyperx(with_faults=True)
