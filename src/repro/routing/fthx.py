@@ -39,24 +39,18 @@ incremental), so it can serve as a topology-agnostic baseline too.
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.errors import TopologyError, UnreachableError
+from repro.core.errors import TopologyError
+from repro.core.parallel import TreeJob
 from repro.ib.fabric import Fabric
-from repro.routing.arrays import tree_core_batch
 from repro.routing.base import (
     RoutingEngine,
-    batched_sweep_enabled,
-    column_tree,
-    destination_block_width,
-    destination_blocks,
-    install_tree,
-    install_tree_columns,
-    parallel_route_columns,
+    destination_switches,
+    make_tree_job,
 )
-from repro.routing.dijkstra import tree_to_destination
 from repro.topology.hyperx import hyperx_shape_of
 from repro.topology.network import Network
 
@@ -89,30 +83,16 @@ JITTER = 0.05
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def link_dest_jitter(link_ids: np.ndarray, dlid: int) -> np.ndarray:
-    """Deterministic jitter in [0, 1) per (link id, destination LID).
-
-    A splitmix64-style mix of the two ids — stable across processes and
-    re-sweeps (no :mod:`random` state), which the incremental-resweep
-    bit-equality contract depends on.
-    """
-    salt = np.uint64((dlid * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF)
-    h = link_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    h = (h + salt) & _M64
-    h ^= h >> np.uint64(31)
-    h = (h * np.uint64(0x94D049BB133111EB)) & _M64
-    h ^= h >> np.uint64(29)
-    return (h & np.uint64(0xFFFFF)).astype(np.float64) / float(1 << 20)
-
-
 def link_dest_jitter_block(
     link_ids: np.ndarray, dlids: Sequence[int]
 ) -> np.ndarray:
-    """:func:`link_dest_jitter` for K destinations at once, ``(E, K)``.
+    """Deterministic jitter in [0, 1) per (link id, destination LID), ``(E, K)``.
 
-    The same splitmix mix with the per-LID salt broadcast across
-    columns — every cell is the scalar function's exact value (uint64
-    arithmetic wraps identically whether batched or not).
+    A splitmix64-style mix of the two ids — stable across processes and
+    re-sweeps (no :mod:`random` state), which the incremental-resweep
+    bit-equality contract depends on.  The per-LID salt broadcasts
+    across columns, so every cell is the one-LID mix's exact value
+    (uint64 arithmetic wraps identically whether batched or not).
     """
     salts = np.asarray(dlids, dtype=np.uint64) * np.uint64(
         0xBF58476D1CE4E5B9
@@ -146,16 +126,19 @@ def weights_block_core(
     dlids: np.ndarray,
     rotations: np.ndarray | None,
 ) -> np.ndarray:
-    """:meth:`LinkProfile.weights_block` over raw arrays.
+    """The edge metric for K destinations at once, ``(num_links, K)``.
 
-    The profile's method delegates here, and pool workers call this
-    directly on shared-memory views of the same arrays — one function,
-    one IEEE operation sequence, so parent and workers produce bit-equal
-    weight columns.  ``ndim == 0`` means no HyperX shape (``cds`` is
-    ``(K, 0)`` and the dimension surcharges vanish); ``dlids`` entries
-    pass through :func:`dimension_rotation` as exact Python ints (the
-    hash relies on arbitrary-precision multiply, which ``np.int64``
-    would wrap).
+    Fed from a :class:`LinkProfile`'s arrays by the tree-job weight spec
+    (``_weight_evaluator`` in :mod:`repro.core.parallel`), in pool
+    workers and in-process alike — one function, one IEEE operation
+    sequence, so every run produces bit-equal weight columns.  The
+    align/detour surcharge and the jitter are elementwise, and the
+    dimension-order surcharge keeps one ``misaligned @ coeff`` reduction
+    per column, so a column never depends on the block around it.
+    ``ndim == 0`` means no HyperX shape (``cds`` is ``(K, 0)`` and the
+    dimension surcharges vanish); ``dlids`` entries pass through
+    :func:`dimension_rotation` as exact Python ints (the hash relies on
+    arbitrary-precision multiply, which ``np.int64`` would wrap).
     """
     k = len(dlids)
     w = np.repeat(base[:, None], k, axis=1)
@@ -271,52 +254,6 @@ class LinkProfile:
             [self._coord_of[sw] for sw in dest_switches], dtype=np.int64
         )
 
-    def weights_for(
-        self, dest_switch: int, dlid: int, rotation: int | None = None
-    ) -> list[float]:
-        """The per-destination edge metric, as a dense link-id list.
-
-        ``rotation`` overrides the dimension-order class (FatPaths uses
-        one class per layer); ``None`` derives it from the LID.
-
-        One column of :meth:`weights_block` — the sequential sweep and
-        the batched sweep read the same metric by construction.
-        """
-        rotations = None if rotation is None else [rotation]
-        return self.weights_block(
-            [dest_switch], [dlid], rotations
-        )[:, 0].tolist()
-
-    def weights_block(
-        self,
-        dest_switches: Sequence[int],
-        dlids: Sequence[int],
-        rotations: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """The edge metric for K destinations at once, ``(num_links, K)``.
-
-        Column ``j`` is bit-equal to the historical single-destination
-        metric for ``(dest_switches[j], dlids[j])``: the align/detour
-        surcharge and the jitter are elementwise (batching cannot change
-        them), and the dimension-order surcharge keeps the exact
-        ``misaligned @ coeff`` reduction per column so its float sums
-        see the same operand order.
-        """
-        return weights_block_core(
-            self.base,
-            self.sw_ids,
-            self.sw_dim,
-            self.sw_src_val,
-            self.sw_dst_val,
-            self.sw_src_coords,
-            self.ndim,
-            self.dest_coords(dest_switches),
-            np.asarray(dlids, dtype=np.int64),
-            None
-            if rotations is None
-            else np.asarray(rotations, dtype=np.int64),
-        )
-
 
 def _fthx_weight_spec(
     profile: LinkProfile,
@@ -324,12 +261,13 @@ def _fthx_weight_spec(
     dlids: Sequence[int],
     rotations: Sequence[int] | None = None,
 ) -> dict:
-    """A pool-shareable weight spec evaluating this profile's metric.
+    """A tree-job weight spec evaluating this profile's metric.
 
-    Workers feed the arrays straight into :func:`weights_block_core`
-    (see ``_weight_evaluator`` in :mod:`repro.core.parallel`), so every
-    column they produce is bit-equal to
-    ``profile.weights_block(dest_switches, dlids, rotations)``.
+    The spec's arrays feed :func:`weights_block_core` column by column
+    (see ``_weight_evaluator`` in :mod:`repro.core.parallel`);
+    ``rotations`` overrides each column's dimension-order class
+    (FatPaths pins one class per layer), ``None`` derives it from the
+    LID.
     """
     spec = {
         "kind": "fthx",
@@ -357,13 +295,6 @@ class FtHyperxRouting(RoutingEngine):
     # dimension classes, fault pressure, and jitter all derive from the
     # current topology and the LID alone, never from other destinations.
     supports_incremental_resweep = True
-    # The same purity lets whole destination blocks route in one numpy
-    # pass, with per-column weight matrices from ``weights_block``.
-    supports_batched_sweep = True
-    # And the weights are *declarative* — profile arrays plus (cds,
-    # dlid) per column — so pool workers can evaluate them from shared
-    # memory and route destination shards with bit-identical tables.
-    parallel_sweep_safe = True
 
     def vl_layering_key(self, fabric: Fabric, dlid: int) -> tuple:
         """Group destinations by dimension-order class for VL layering.
@@ -383,149 +314,10 @@ class FtHyperxRouting(RoutingEngine):
             return (0, dlid)
         return (dimension_rotation(dlid, len(coord)), dlid)
 
-    def compute(self, fabric: Fabric) -> None:
-        net = fabric.net
-        dlids = fabric.lidmap.terminal_lids(net)
-        if batched_sweep_enabled():
-            if parallel_route_columns(self, fabric, dlids):
-                return
-            profile = LinkProfile(net)
-            for block in destination_blocks(fabric, dlids):
-                self._route_block(fabric, block, profile)
-            return
-        profile = LinkProfile(net)
-        for dlid in dlids:
-            self._route_dlid(fabric, dlid, profile)
-
-    def recompute_destinations(
-        self, fabric: Fabric, dlids: Collection[int]
-    ) -> None:
-        """Rebuild only the given destination columns.
-
-        The link profile is rebuilt from the current (post-event)
-        topology; unaffected columns already match what a full sweep on
-        that topology would produce, because nothing in the metric
-        couples destinations.
-        """
-        net = fabric.net
-        ordered = sorted(dlids)
-        if batched_sweep_enabled():
-
-            def reset_all() -> None:
-                # Reset only once the pool has the full result in hand,
-                # so a pool failure leaves the old tables intact for the
-                # serial fallback below (whose per-block resets then run
-                # on untouched columns, exactly as without a pool).
-                for dlid in ordered:
-                    self._reset_column(fabric, dlid)
-
-            if parallel_route_columns(
-                self, fabric, ordered, before_install=reset_all
-            ):
-                return
-            profile = LinkProfile(net)
-            for block in destination_blocks(fabric, ordered):
-                for dlid in block:
-                    self._reset_column(fabric, dlid)
-                self._route_block(fabric, block, profile)
-            return
-        profile = LinkProfile(net)
-        for dlid in ordered:
-            self._reset_column(fabric, dlid)
-            self._route_dlid(fabric, dlid, profile)
-
-    @staticmethod
-    def _reset_column(fabric: Fabric, dlid: int) -> None:
-        net = fabric.net
-        fabric.tables.clear_column(dlid)
-        t = fabric.lidmap.node_of(dlid)
-        down = net.terminal_uplink(t).reverse_id
-        fabric.set_route(net.attached_switch(t), dlid, down)
-
-    def _sweep_job(self, fabric: Fabric, dlids: list[int]):
-        from repro.core.parallel import TreeJob, TreeShard
-
-        net = fabric.net
-        graph = net.switch_graph()
-        profile = LinkProfile(net)
-        dsws = [
-            net.attached_switch(fabric.lidmap.node_of(d)) for d in dlids
-        ]
-        roots = graph.index[np.asarray(dsws, dtype=np.int64)]
-        return TreeJob(
-            num_switches=graph.num_switches,
-            num_links=len(net.links),
-            roots=roots,
-            dest_switches=dsws,
-            weights=_fthx_weight_spec(profile, dsws, dlids),
-            shards=[
-                TreeShard(
-                    graph=graph,
-                    cols=np.arange(len(dlids), dtype=np.int64),
-                )
-            ],
-            block_cols=destination_block_width(fabric),
+    def tree_job(self, fabric: Fabric, dlids: list[int]) -> TreeJob:
+        # Per-column weights, declared as the profile arrays plus each
+        # column's (destination coordinates, LID).
+        dsws = destination_switches(fabric, dlids)
+        return make_tree_job(
+            fabric, dsws, _fthx_weight_spec(LinkProfile(fabric.net), dsws, dlids)
         )
-
-    def _install_sweep(
-        self,
-        fabric: Fabric,
-        dlids: list[int],
-        job,
-        plid: np.ndarray,
-    ) -> None:
-        graph = fabric.net.switch_graph()
-
-        def on_unreachable(j: int, dlid: int, dsw: int) -> None:
-            parent, _hops = column_tree(graph, plid[:, j])
-            self._check_reach(fabric, parent, dsw, dlid)
-
-        install_tree_columns(
-            fabric, dlids, job.dest_switches, plid,
-            on_unreachable=on_unreachable,
-        )
-
-    def _route_block(
-        self, fabric: Fabric, block: list[int], profile: LinkProfile
-    ) -> None:
-        net = fabric.net
-        graph = net.switch_graph()
-        dsws = [
-            net.attached_switch(fabric.lidmap.node_of(d)) for d in block
-        ]
-        roots = graph.index[np.asarray(dsws, dtype=np.int64)]
-        weights = profile.weights_block(dsws, block)
-        plid, _ = tree_core_batch(graph, roots, weights)
-
-        def on_unreachable(j: int, dlid: int, dsw: int) -> None:
-            parent, _hops = column_tree(graph, plid[:, j])
-            self._check_reach(fabric, parent, dsw, dlid)
-
-        install_tree_columns(
-            fabric, block, dsws, plid, on_unreachable=on_unreachable
-        )
-
-    def _route_dlid(
-        self, fabric: Fabric, dlid: int, profile: LinkProfile
-    ) -> None:
-        net = fabric.net
-        dst = fabric.lidmap.node_of(dlid)
-        dsw = net.attached_switch(dst)
-        parent, hops = tree_to_destination(
-            net, dsw, profile.weights_for(dsw, dlid)
-        )
-        self._check_reach(fabric, parent, dsw, dlid)
-        install_tree(fabric, dlid, parent)
-
-    @staticmethod
-    def _check_reach(
-        fabric: Fabric, parent: dict, dsw: int, dlid: int
-    ) -> None:
-        net = fabric.net
-        graph = net.switch_graph()
-        for u in graph.host_switches.tolist():
-            sw = graph.switches[u]
-            if sw != dsw and sw not in parent:
-                raise UnreachableError(
-                    f"switch {sw} cannot reach destination lid {dlid}"
-                )

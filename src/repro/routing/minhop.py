@@ -12,24 +12,13 @@ itself; the subnet manager's virtual-lane layering supplies it.
 
 from __future__ import annotations
 
-from typing import Collection
-
-import numpy as np
-
-from repro.core.errors import UnreachableError
+from repro.core.parallel import TreeJob
 from repro.ib.fabric import Fabric
-from repro.routing.arrays import tree_core_batch
 from repro.routing.base import (
     RoutingEngine,
-    batched_sweep_enabled,
-    column_tree,
-    destination_block_width,
-    destination_blocks,
-    install_tree,
-    install_tree_columns,
-    parallel_route_columns,
+    destination_switches,
+    make_tree_job,
 )
-from repro.routing.dijkstra import tree_to_destination
 
 
 class MinHopRouting(RoutingEngine):
@@ -41,158 +30,11 @@ class MinHopRouting(RoutingEngine):
     # only on the topology, so a per-destination recompute reproduces a
     # full sweep bit for bit.
     supports_incremental_resweep = True
-    # The same independence lets whole destination blocks route in one
-    # numpy pass; unit weights are shared across every column.
-    supports_batched_sweep = True
-    # Unit weights are trivially declarative, so destination shards can
-    # route on the worker pool with bit-identical tables.
-    parallel_sweep_safe = True
 
-    def compute(self, fabric: Fabric) -> None:
-        net = fabric.net
-        dlids = fabric.lidmap.terminal_lids(net)
-        if batched_sweep_enabled():
-            if parallel_route_columns(self, fabric, dlids):
-                return
-            for block in destination_blocks(fabric, dlids):
-                self._route_block(fabric, block)
-            return
-        weights = [1.0] * len(net.links)
-        for dlid in dlids:
-            self._route_dlid(fabric, dlid, weights)
-
-    def recompute_destinations(
-        self, fabric: Fabric, dlids: Collection[int]
-    ) -> None:
-        """Rebuild only the given destination columns.
-
-        For each affected LID the old column (including the ejection
-        hop) is dropped and rebuilt exactly as :meth:`compute` would on
-        the current topology — the trees of unaffected LIDs are
-        untouched and, with unit weights, already equal what a full
-        sweep would produce.
-        """
-        net = fabric.net
-        ordered = sorted(dlids)
-        if batched_sweep_enabled():
-
-            def reset_all() -> None:
-                # Reset only once the pool has the full result in hand,
-                # so a pool failure leaves the old tables intact for the
-                # serial fallback below.
-                for dlid in ordered:
-                    self._reset_column(fabric, dlid)
-
-            if parallel_route_columns(
-                self, fabric, ordered, before_install=reset_all
-            ):
-                return
-            for block in destination_blocks(fabric, ordered):
-                for dlid in block:
-                    self._reset_column(fabric, dlid)
-                self._route_block(fabric, block)
-            return
-        weights = [1.0] * len(net.links)
-        for dlid in ordered:
-            self._reset_column(fabric, dlid)
-            self._route_dlid(fabric, dlid, weights)
-
-    @staticmethod
-    def _reset_column(fabric: Fabric, dlid: int) -> None:
-        net = fabric.net
-        fabric.tables.clear_column(dlid)
-        t = fabric.lidmap.node_of(dlid)
-        down = net.terminal_uplink(t).reverse_id
-        fabric.set_route(net.attached_switch(t), dlid, down)
-
-    def _sweep_job(self, fabric: Fabric, dlids: list[int]):
-        from repro.core.parallel import TreeJob, TreeShard
-
-        net = fabric.net
-        graph = net.switch_graph()
-        dsws = [
-            net.attached_switch(fabric.lidmap.node_of(d)) for d in dlids
-        ]
-        roots = graph.index[np.asarray(dsws, dtype=np.int64)]
-        return TreeJob(
-            num_switches=graph.num_switches,
-            num_links=len(net.links),
-            roots=roots,
-            dest_switches=dsws,
-            weights={"kind": "unit", "num_links": len(net.links)},
-            shards=[
-                TreeShard(
-                    graph=graph,
-                    cols=np.arange(len(dlids), dtype=np.int64),
-                )
-            ],
-            block_cols=destination_block_width(fabric),
+    def tree_job(self, fabric: Fabric, dlids: list[int]) -> TreeJob:
+        # Unit weights are shared by every column.
+        return make_tree_job(
+            fabric,
+            destination_switches(fabric, dlids),
+            {"kind": "unit", "num_links": len(fabric.net.links)},
         )
-
-    def _install_sweep(
-        self,
-        fabric: Fabric,
-        dlids: list[int],
-        job,
-        plid: np.ndarray,
-    ) -> None:
-        net = fabric.net
-        graph = net.switch_graph()
-        ones = np.ones(len(net.links), dtype=np.float64)
-
-        def on_unreachable(j: int, dlid: int, dsw: int) -> None:
-            # The shared buffer carries no hop counts (a second (V, K)
-            # buffer for a rare failure path); recompute the lone
-            # column serially to hand ``_check_reach`` the exact dict
-            # view the sequential loop produces.
-            sub, hops = tree_core_batch(graph, job.roots[j : j + 1], ones)
-            parent, hdict = column_tree(graph, sub[:, 0], hops[:, 0])
-            self._check_reach(fabric, parent, hdict, dsw, dlid)
-
-        install_tree_columns(
-            fabric, dlids, job.dest_switches, plid,
-            on_unreachable=on_unreachable,
-        )
-
-    def _route_block(self, fabric: Fabric, block: list[int]) -> None:
-        net = fabric.net
-        graph = net.switch_graph()
-        dsws = [
-            net.attached_switch(fabric.lidmap.node_of(d)) for d in block
-        ]
-        roots = graph.index[np.asarray(dsws, dtype=np.int64)]
-        weights = np.ones(len(net.links), dtype=np.float64)
-        plid, hops = tree_core_batch(graph, roots, weights)
-
-        def on_unreachable(j: int, dlid: int, dsw: int) -> None:
-            # Route the failure through the overridable hook with the
-            # dict view the sequential loop would have produced.
-            parent, hdict = column_tree(graph, plid[:, j], hops[:, j])
-            self._check_reach(fabric, parent, hdict, dsw, dlid)
-
-        install_tree_columns(
-            fabric, block, dsws, plid, on_unreachable=on_unreachable
-        )
-
-    def _route_dlid(
-        self, fabric: Fabric, dlid: int, weights: list[float]
-    ) -> None:
-        net = fabric.net
-        dst = fabric.lidmap.node_of(dlid)
-        dsw = net.attached_switch(dst)
-        parent, hops = tree_to_destination(net, dsw, weights)
-        self._check_reach(fabric, parent, hops, dsw, dlid)
-        install_tree(fabric, dlid, parent)
-
-    @staticmethod
-    def _check_reach(
-        fabric: Fabric, parent: dict, hops: dict, dsw: int, dlid: int
-    ) -> None:
-        net = fabric.net
-        graph = net.switch_graph()
-        for u in graph.host_switches.tolist():
-            sw = graph.switches[u]
-            if sw != dsw and sw not in parent:
-                raise UnreachableError(
-                    f"switch {sw} cannot reach destination lid {dlid}"
-                )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.errors import ConfigurationError
-from repro.routing.base import RoutingEngine
+from repro.routing.base import RoutingEngine, declares_tree_job
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,7 @@ def engine_catalogue() -> list[dict[str, Any]]:
                 probe.provides_deadlock_freedom or probe.self_layering
             ),
             "incremental_resweep": bool(probe.supports_incremental_resweep),
-            "batched_sweep": bool(probe.supports_batched_sweep),
-            "parallel_sweep": bool(
-                getattr(probe, "parallel_sweep_safe", False)
-            ),
+            "parallel_sweep": declares_tree_job(probe),
             "needs_demands": bool(spec.needs_demands),
             "sm_kwargs": dict(spec.sm_kwargs),
             "topologies": list(spec.topologies) or ["any"],
@@ -166,18 +163,17 @@ def engine_catalogue() -> list[dict[str, Any]]:
 def catalogue_markdown() -> str:
     """The engine catalogue as a Markdown table (README / DESIGN)."""
     lines = [
-        "| engine | deadlock-free | incremental re-sweep | batched sweep "
+        "| engine | deadlock-free | incremental re-sweep "
         "| parallel sweep | demands-aware | topologies | description |",
-        "|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|",
     ]
     for row in engine_catalogue():
         lines.append(
-            "| `{name}` | {dl} | {inc} | {bat} | {par} | {dem} "
+            "| `{name}` | {dl} | {inc} | {par} | {dem} "
             "| {topo} | {desc} |".format(
                 name=row["name"],
                 dl="yes" if row["deadlock_free"] else "no",
                 inc="yes" if row["incremental_resweep"] else "no",
-                bat="yes" if row["batched_sweep"] else "no",
                 par="yes" if row["parallel_sweep"] else "no",
                 dem="yes" if row["needs_demands"] else "no",
                 topo=", ".join(row["topologies"]),

@@ -15,8 +15,11 @@ from typing import Any, Collection, Iterable, Mapping, Sequence, Set
 import numpy as np
 
 from repro.core.errors import DeadlockError, SimulationError, UnreachableError
+from repro.core.parallel import _weight_evaluator
 from repro.ib.cdg import addition_creates_cycle
 from repro.routing.base import install_tree
+from repro.routing.dijkstra import tree_to_destination
+from repro.routing.fatpaths import FatPathsRouting, layer_masks
 from repro.sim.fairness import _EPS
 
 #: Hop count marking an unreached switch in :func:`tree_core`'s arrays.
@@ -360,3 +363,82 @@ def reference_feedback_sweep(fabric: Any, trees: Iterable[tuple]) -> None:
             net, parent, hops, source_weight
         ).items():
             weights[link_id] += load
+
+
+def link_dest_jitter(link_ids: np.ndarray, dlid: int) -> np.ndarray:
+    """fthx's tie-break jitter for one destination LID, in [0, 1).
+
+    The scalar splitmix64 mix :func:`repro.routing.fthx.link_dest_jitter_block`
+    broadcasts across a block of LIDs; every column of the block must
+    equal this bit for bit.  The salt is an exact Python-int product
+    masked to 64 bits, the reference for the block's wrapping uint64
+    multiply.
+    """
+    m64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+    salt = np.uint64((dlid * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF)
+    h = link_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h = (h + salt) & m64
+    h ^= h >> np.uint64(31)
+    h = (h * np.uint64(0x94D049BB133111EB)) & m64
+    h ^= h >> np.uint64(29)
+    return (h & np.uint64(0xFFFFF)).astype(np.float64) / float(1 << 20)
+
+
+def reference_tree_sweep(
+    engine: Any, fabric: Any, dlids: Sequence[int], *, reset: bool = False
+) -> None:
+    """The per-LID loop minhop, fthx and fatpaths each ran before tree jobs.
+
+    One :func:`~repro.routing.dijkstra.tree_to_destination` per LID, on
+    the weights the engine's tree job declares for that LID's column.
+    FatPaths LIDs route over their layer's mask and fall back to the
+    full graph (with the engine's note) when the mask cuts off a
+    terminal-hosting switch.  A switch that still cannot reach the
+    destination goes to ``engine.tree_unreachable``; the tree is then
+    installed through ``install_tree``.  ``reset`` drops each column
+    first, as an incremental re-sweep does.
+    """
+    net = fabric.net
+    graph = net.switch_graph()
+    hosts = [graph.switches[u] for u in graph.host_switches.tolist()]
+    dlids = list(dlids)
+    job = engine.tree_job(fabric, dlids)
+    evaluate = _weight_evaluator(job.weights, [])
+    masks = [frozenset()]
+    if isinstance(engine, FatPathsRouting):
+        masks = layer_masks(net, fabric.lidmap.lids_per_port)
+    for j, dlid in enumerate(dlids):
+        if reset:
+            engine._reset_column(fabric, dlid)
+        dsw = job.dest_switches[j]
+        w = evaluate(np.array([j]))
+        weights = (w if w.ndim == 1 else w[:, 0]).tolist()
+        layer = fabric.lidmap.index_of(dlid) % len(masks)
+        parent, _ = tree_to_destination(net, dsw, weights, masks[layer])
+        if layer and any(sw != dsw and sw not in parent for sw in hosts):
+            parent, _ = tree_to_destination(net, dsw, weights)
+            fabric.notes.append(
+                f"fatpaths: fallback to layer 0 for lid {dlid} "
+                f"(layer {layer} mask disconnects it)"
+            )
+        for sw in hosts:
+            if sw != dsw and sw not in parent:
+                engine.tree_unreachable(sw, dlid)
+                break
+        install_tree(fabric, dlid, parent)
+
+
+def reference_tree_engine(engine: Any) -> Any:
+    """``engine`` with its sweeps swapped for :func:`reference_tree_sweep`.
+
+    Cold sweeps and incremental re-sweeps both take the per-LID loop, so
+    an ``OpenSM.run`` / ``resweep`` pair on the returned engine is the
+    executable specification of the same pair on a fresh engine.
+    """
+    engine.compute = lambda fabric: reference_tree_sweep(
+        engine, fabric, fabric.lidmap.terminal_lids(fabric.net)
+    )
+    engine.recompute_destinations = lambda fabric, dlids: reference_tree_sweep(
+        engine, fabric, sorted(dlids), reset=True
+    )
+    return engine

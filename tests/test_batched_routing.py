@@ -9,9 +9,10 @@ together three ways:
 * hypothesis-fuzzed kernel equivalence on random weights and random
   link masks, column by column against the sequential tree;
 * whole-fabric bit-equality (dense matrix, overflow, notes, lanes) of
-  a batched sweep against a forced-sequential sweep, for every engine
-  that declares ``supports_batched_sweep`` — full sweeps, fallbacks,
-  and incremental re-sweeps after cable faults;
+  an engine's tree-job sweep against the per-LID loop in
+  ``tests/oracles.py`` (:func:`reference_tree_sweep`), for every engine
+  that declares a tree job — full sweeps, fallbacks, incremental
+  re-sweeps after cable faults, and partitioned planes;
 * frozen 672-node golden LFT digests per batched engine, and for the
   SSSP family (which routes one LID at a time) golden digests, lane
   counts and notes recorded before its kernel changed.
@@ -44,28 +45,31 @@ from repro.ib.subnet_manager import OpenSM, resweep
 from repro.ib.tables import table_dtype_for
 from repro.routing import create_engine, engine_names
 from repro.routing.arrays import UNREACHED_HOPS, tree_core_batch
-from repro.routing.base import (
-    batched_sweep,
-    batched_sweep_enabled,
-    set_batched_sweep,
-)
+from repro.routing.base import declares_tree_job
 from repro.routing.dijkstra import tree_to_destination
+from repro.routing.fthx import link_dest_jitter_block
 from repro.routing.parx import ParxRouting
 from repro.routing.parx_nd import NdParxRouting
 from repro.topology.hyperx import hyperx, hyperx_shape_of
 from repro.topology.t2hx import t2hx_hyperx
 from repro.topology.torus import torus
+from tests.oracles import link_dest_jitter, reference_tree_engine
 
 BATCHED_ENGINES = [
-    n for n in engine_names() if create_engine(n).supports_batched_sweep
+    n for n in engine_names() if declares_tree_job(create_engine(n))
 ]
 
 
+def _engine(name, batched):
+    """The engine, or (``batched=False``) its per-LID reference sweep."""
+    engine = create_engine(name)
+    return engine if batched else reference_tree_engine(engine)
+
+
 def _sweep(name, *, batched, net=None, scale=2, seed=1):
-    with batched_sweep(batched):
-        if net is None:
-            net = t2hx_hyperx(with_faults=True, seed=seed, scale=scale)
-        return OpenSM(net).run(create_engine(name))
+    if net is None:
+        net = t2hx_hyperx(with_faults=True, seed=seed, scale=scale)
+    return OpenSM(net).run(_engine(name, batched))
 
 
 def _assert_fabrics_equal(fa, fb):
@@ -137,7 +141,7 @@ class TestBatchKernelEquivalence:
 
 
 class TestBatchedSweepEquality:
-    """Whole-fabric bit-equality, batched vs forced-sequential."""
+    """Whole-fabric bit-equality, tree-job sweep vs per-LID reference."""
 
     @pytest.mark.parametrize("name", BATCHED_ENGINES)
     def test_full_sweep_matches_sequential(self, name):
@@ -159,16 +163,15 @@ class TestBatchedSweepEquality:
         reports = []
         fabrics = []
         for batched in (True, False):
-            with batched_sweep(batched):
-                net = t2hx_hyperx(with_faults=True, seed=1, scale=2)
-                fab = OpenSM(net).run(create_engine(name))
-                cable = next(
-                    l for l in net.iter_links()
-                    if net.is_switch(l.src) and net.is_switch(l.dst)
-                )
-                net.disable_cable(cable.id)
-                reports.append(resweep(fab, create_engine(name)))
-                fabrics.append(fab)
+            net = t2hx_hyperx(with_faults=True, seed=1, scale=2)
+            fab = OpenSM(net).run(_engine(name, batched))
+            cable = next(
+                l for l in net.iter_links()
+                if net.is_switch(l.src) and net.is_switch(l.dst)
+            )
+            net.disable_cable(cable.id)
+            reports.append(resweep(fab, _engine(name, batched)))
+            fabrics.append(fab)
         _assert_fabrics_equal(*fabrics)
         ra, rb = reports
         assert ra.dests_affected == rb.dests_affected
@@ -182,21 +185,29 @@ class TestBatchedSweepEquality:
         total = len(fabrics[0].lidmap.terminal_lids(fabrics[0].net))
         assert 0 < ra.dests_recomputed == ra.dests_affected < total
 
-    def test_toggle_returns_previous_value(self):
-        assert batched_sweep_enabled()
-        prev = set_batched_sweep(False)
-        assert prev is True
-        assert not batched_sweep_enabled()
-        assert set_batched_sweep(prev) is False
-        assert batched_sweep_enabled()
 
-    def test_context_manager_restores_on_error(self):
-        assert batched_sweep_enabled()
-        with pytest.raises(ValueError):
-            with batched_sweep(False):
-                assert not batched_sweep_enabled()
-                raise ValueError("boom")
-        assert batched_sweep_enabled()
+class TestJitterBlock:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dlids=st.lists(st.integers(0, 2**48), min_size=1, max_size=6),
+        num_links=st.integers(1, 64),
+    )
+    def test_every_column_equals_the_scalar_jitter(self, dlids, num_links):
+        link_ids = np.arange(num_links, dtype=np.int64)
+        block = link_dest_jitter_block(link_ids, dlids)
+        assert block.shape == (num_links, len(dlids))
+        for j, dlid in enumerate(dlids):
+            want = link_dest_jitter(link_ids, dlid)
+            assert np.array_equal(
+                block[:, j].view(np.uint64), want.view(np.uint64)
+            ), dlid
+
+    def test_lids_past_16_bits_are_covered(self):
+        link_ids = np.arange(40, dtype=np.int64)
+        dlids = [1, 2**16, 2**16 + 1, 2**32 + 7, 2**48]
+        block = link_dest_jitter_block(link_ids, dlids)
+        for j, dlid in enumerate(dlids):
+            assert np.array_equal(block[:, j], link_dest_jitter(link_ids, dlid))
 
 
 #: sha256 of ``Fabric.dump_lft()`` (and the lane count) on the faulted

@@ -8,13 +8,13 @@ module pins that promise from four directions:
 * whole-fabric bit-equality (tables, notes, lanes, LFT dump) at worker
   counts 1, 2, and 8 — cold sweeps, faulted fabrics, and incremental
   re-sweeps with identical :class:`RerouteReport` counters — for every
-  engine that declares ``parallel_sweep_safe``;
+  engine that declares a tree job;
 * the frozen 672-node golden LFT digests reproduced *through the pool*;
 * hypothesis-fuzzed equivalence of the sharded in-process tree op
   against one whole-block ``tree_core_batch`` call;
 * the degraded paths: worker-count/column-floor gates, spawn failure,
   mid-job worker errors, and SIGKILLed workers must all land back on
-  the serial path (or a respawned pool) with identical results.
+  the in-process run (or a respawned pool) with identical results.
 """
 
 import hashlib
@@ -42,16 +42,18 @@ from repro.core.parallel import (
     sweep_pool_pids,
     sweep_workers,
 )
+from repro.core.errors import UnreachableError
 from repro.ib.subnet_manager import OpenSM, resweep
 from repro.routing import create_engine, engine_names
 from repro.routing.arrays import tree_core_batch
+from repro.routing.base import declares_tree_job
 from repro.topology.hyperx import hyperx
 from repro.topology.t2hx import t2hx_hyperx
+from tests.oracles import reference_tree_engine
 from tests.test_batched_routing import GOLDEN_672, _assert_fabrics_equal
 
 PARALLEL_ENGINES = [
-    n for n in engine_names()
-    if getattr(create_engine(n), "parallel_sweep_safe", False)
+    n for n in engine_names() if declares_tree_job(create_engine(n))
 ]
 
 
@@ -117,6 +119,59 @@ class TestWorkerCountInvariance:
         want_digest, want_vls = GOLDEN_672[name]
         assert digest == want_digest
         assert fab.num_vls == want_vls
+
+
+#: The first failure each engine reports on the partitioned plane of
+#: :class:`TestPartitionedPlane` (fatpaths' LMC 2 puts its first
+#: terminal at LID 4).
+PARTITION_ERRORS = {
+    "minhop": "switch 5 cannot reach destination lid 1",
+    "fthx": "switch 5 cannot reach destination lid 1",
+    "fatpaths": "switch 5 cannot reach destination lid 4",
+}
+
+
+def _cut_switch_5(net):
+    victim = net.switches[5]
+    for link in list(net.iter_links()):
+        if (net.is_switch(link.src) and net.is_switch(link.dst)
+                and victim in (link.src, link.dst)):
+            net.disable_cable(link.id)
+
+
+def _partition_error(name, mode, engine):
+    """The UnreachableError message of one cold sweep or re-sweep of a
+    4x4 HyperX (2 terminals per switch) with switch 5's cables cut."""
+    net = hyperx((4, 4), 2)
+    if mode == "cold":
+        _cut_switch_5(net)
+    else:
+        fab = OpenSM(net).run(create_engine(name))
+        _cut_switch_5(net)
+    with pytest.raises(UnreachableError) as err:
+        if mode == "cold":
+            OpenSM(net).run(engine)
+        else:
+            resweep(fab, engine)
+    return str(err.value)
+
+
+class TestPartitionedPlane:
+    """A partitioned plane raises the same error on every sweep path."""
+
+    @pytest.mark.parametrize("mode", ["cold", "resweep"])
+    @pytest.mark.parametrize("name", sorted(PARTITION_ERRORS))
+    def test_same_unreachable_error_pooled_and_in_process(self, name, mode):
+        want = PARTITION_ERRORS[name]
+        oracle = reference_tree_engine(create_engine(name))
+        assert _partition_error(name, mode, oracle) == want
+        for workers in (1, 2):
+            reset_parallel_stats()
+            with sweep_workers(workers), column_floor(1):
+                got = _partition_error(name, mode, create_engine(name))
+                assert got == want, workers
+                if workers > 1:
+                    assert parallel_stats()["parallel_sweeps"] >= 1
 
 
 class TestAnalysisInvariance:

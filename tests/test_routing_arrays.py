@@ -375,8 +375,7 @@ class _LossyMinHop(_ForcedHeavyMinHop):
     lets a resweep complete on a partitioned fabric so the report's
     unreachable accounting is exercised."""
 
-    @staticmethod
-    def _check_reach(fabric, parent, hops, dsw, dlid):
+    def tree_unreachable(self, switch, dlid):
         pass
 
 
